@@ -1,44 +1,32 @@
 // Trace-replay kernel benchmark: compiled batched replay (power/replay.h)
-// vs the per-time-step reference interpreter, on the hierarchical Paulin
-// benchmark and the largest bundled design (dct2d), plus the SIMD kernel
-// table vs the portable scalar table.
+// vs the per-time-step reference interpreter (tests/replay_oracle.h), on
+// the hierarchical Paulin benchmark and the largest bundled design
+// (dct2d).
 //
 // For each design x backend x thread count the harness evaluates the full
 // edge matrix of the top behavior over fresh input traces (a new seed per
-// rep, so the shared edge-values cache never answers and the measured
-// work is the evaluator itself):
+// rep, so the measured work is the evaluator itself):
 //   * cold: evaluation caches cleared first, so the compiled backend pays
-//     program compilation (interp has no compile step; cold ~ warm),
+//     program compilation (the oracle has no compile step; cold ~ warm),
 //   * warm: replay programs already memoized, traces still fresh.
-// The compiled backend is swept twice when a SIMD table is available:
-// once forced scalar ("compiled-scalar") and once under the best table
-// ("compiled") -- the end-to-end view of the ISA dispatch.
 //
 // Microbenchmarks:
-//   * opcode_kernels: every per-opcode column kernel of the best table
-//     against the scalar table on dense 64k columns -- the noise-robust
-//     basis of the simd_speedup gate (outputs bitwise-compared too),
-//   * toggle_kernel: the dispatched toggle_count against the scalar
-//     hamming16 loop it replaced,
+//   * toggle_kernel: the packed toggle_count against the scalar hamming16
+//     loop it replaced,
 //   * fused_toggle: toggle_count_gather against the buffered interleave
 //     path the estimator ran before the fused rewrite.
 //
 // Emits BENCH_power.json (and the same object on stdout):
 //   * per design/backend/threads: cold and warm wall seconds and
 //     vectors/sec (trace samples evaluated per second, warm),
-//   * speedup_ok: warm compiled >= 3x warm interp at every thread count,
-//   * equivalent: compiled and interp matrices are bit-identical, and
-//     every kernel-table output matches the scalar reference,
+//   * speedup_ok: warm compiled >= 3x warm oracle at every thread count,
+//   * equivalent: compiled and oracle matrices are bit-identical, and the
+//     packed toggle counters equal their scalar references,
 //   * monotone_ok: warm compiled replay never slows down when threads
-//     grow 1 -> 2 -> 8 (min over reps, with generous tolerance),
-//   * simd_ok: on SIMD-capable hardware the best table's per-opcode
-//     throughput is >= 1.5x the scalar table at 1 thread (trivially true
-//     when only the scalar table exists).
-// The exit code gates equivalence, thread-scaling monotonicity, and the
-// SIMD per-opcode speedup; speedup vs interp is reported, not gated, so
-// a loaded CI box cannot turn a correctness job red over absolute
-// end-to-end throughput (the per-opcode microbenchmark is dense compute
-// on one thread -- far less scheduler-sensitive).
+//     grow 1 -> 2 -> 8 (min over reps, with generous tolerance).
+// The exit code gates equivalence and thread-scaling monotonicity;
+// speedup vs the oracle is reported, not gated, so a loaded CI box
+// cannot turn a correctness job red over absolute throughput.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -47,8 +35,8 @@
 #include "benchmarks/benchmarks.h"
 #include "eval/engine.h"
 #include "power/replay.h"
-#include "power/replay_kernels.h"
 #include "power/trace.h"
+#include "replay_oracle.h"
 #include "runtime/thread_pool.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -101,36 +89,19 @@ int main() {
   using namespace hsyn;
   const Library lib = default_library();
 
-  // The best table this build + CPU can select ("native" resolution).
-  set_replay_isa(ReplayIsa::Native);
-  const ReplayIsa best_isa = replay_isa();
-  const bool has_simd = best_isa != ReplayIsa::Scalar;
-
   JsonWriter w;
   w.begin_object();
   w.key("bench").value("trace_replay");
   w.key("trace_samples").value(kTraceSamples);
   w.key("reps").value(kReps);
-  w.key("isa").begin_object();
-  w.key("best").value(replay_isa_name(best_isa));
-  w.key("available_avx2").value(replay_isa_available(ReplayIsa::Avx2));
-  w.key("available_neon").value(replay_isa_available(ReplayIsa::Neon));
-  w.end_object();
 
   bool equivalent = true;
   bool speedup_ok = true;
   bool monotone_ok = true;
-  bool simd_ok = true;
   // min-over-reps still jitters on a loaded box; only flag real
   // regressions like the pre-cutoff 8-thread cliff, not scheduler noise.
   constexpr double kMonotoneTol = 1.35;
   eval::EvalEngine& eng = eval::EvalEngine::instance();
-
-  // End-to-end sweep backends. "compiled" runs under the best table;
-  // the forced-scalar lane is added only when it differs.
-  std::vector<std::string> backends = {"interp"};
-  if (has_simd) backends.push_back("compiled-scalar");
-  backends.push_back("compiled");
 
   w.key("designs").begin_array();
   for (const std::string name : {"hier_paulin", "dct2d"}) {
@@ -138,43 +109,29 @@ int main() {
     const Dfg& top = bench.design.top();
     const BehaviorResolver res = design_resolver(bench.design);
 
-    // Equivalence gate, independent of timing: every backend (and every
-    // available kernel table) over one trace, bitwise-compared.
+    // Equivalence gate, independent of timing: both backends over one
+    // trace, bitwise-compared.
     {
       const Trace tr = make_trace(top.num_inputs(), kTraceSamples, 999);
-      eng.clear();
-      set_replay_mode(ReplayMode::Interp);
-      const EdgeMatrix interp = *eval_dfg_edges_shared(top, res, tr);
-      set_replay_mode(ReplayMode::Compiled);
-      for (const ReplayIsa isa :
-           {ReplayIsa::Scalar, ReplayIsa::Avx2, ReplayIsa::Neon}) {
-        if (!replay_isa_available(isa)) continue;
-        eng.clear();
-        set_replay_isa(isa);
-        const EdgeMatrix compiled = *eval_dfg_edges_shared(top, res, tr);
-        equivalent = equivalent && compiled == interp;
-      }
-      set_replay_isa(ReplayIsa::Native);
+      equivalent = equivalent && replay_eval_matrix(top, res, tr) ==
+                                     testing_support::oracle_eval_matrix(
+                                         top, res, tr);
     }
 
     std::vector<Row> rows;
-    for (const std::string& backend : backends) {
-      if (backend == "interp") {
-        set_replay_mode(ReplayMode::Interp);
-        set_replay_isa(ReplayIsa::Native);
-      } else {
-        set_replay_mode(ReplayMode::Compiled);
-        set_replay_isa(backend == "compiled-scalar" ? ReplayIsa::Scalar
-                                                    : ReplayIsa::Native);
-      }
+    for (const std::string backend : {"oracle", "compiled"}) {
+      const auto eval = [&](const Trace& tr) {
+        return backend == "oracle"
+                   ? testing_support::oracle_eval_matrix(top, res, tr)
+                   : replay_eval_matrix(top, res, tr);
+      };
       for (const int threads : {1, 2, 8}) {
         runtime::set_threads(threads);
         Row row;
         row.backend = backend;
         row.threads = threads;
         for (int rep = 0; rep < kReps; ++rep) {
-          // Fresh seeds: the shared edge-values cache must miss, so the
-          // measurement is the evaluator, not the memo.
+          // Fresh seeds per rep: nothing but the evaluator is measured.
           const Trace cold_tr =
               make_trace(top.num_inputs(), kTraceSamples,
                          static_cast<std::uint64_t>(1000 + rep));
@@ -183,10 +140,10 @@ int main() {
                          static_cast<std::uint64_t>(2000 + rep));
           eng.clear();  // cold: compiled pays program compilation
           const auto t0 = std::chrono::steady_clock::now();
-          (void)eval_dfg_edges_shared(top, res, cold_tr);
+          (void)eval(cold_tr);
           row.cold_s += now_minus(t0);
           const auto t1 = std::chrono::steady_clock::now();
-          (void)eval_dfg_edges_shared(top, res, warm_tr);
+          (void)eval(warm_tr);
           const double warm_rep = now_minus(t1);
           row.warm_s += warm_rep;
           if (rep == 0 || warm_rep < row.warm_min_s) row.warm_min_s = warm_rep;
@@ -197,7 +154,6 @@ int main() {
       }
     }
     runtime::set_threads(1);
-    set_replay_isa(ReplayIsa::Native);
 
     w.begin_object();
     w.key("design").value(name);
@@ -214,22 +170,21 @@ int main() {
       w.end_object();
     }
     w.end_array();
-    // Speedup per thread count: warm compiled (best table) vs warm
-    // interp. The interp rows are first, the best-table compiled rows
-    // last; both blocks sweep the same thread counts in order.
+    // Speedup per thread count: warm compiled vs warm oracle. The oracle
+    // rows come first; both blocks sweep the same thread counts in order.
     w.key("speedup").begin_array();
     const std::size_t per_backend = 3;  // thread counts per backend
-    const std::size_t compiled_at = rows.size() - per_backend;
+    const std::size_t compiled_at = per_backend;
     for (std::size_t i = 0; i < per_backend; ++i) {
-      const Row& interp_row = rows[i];
+      const Row& oracle_row = rows[i];
       const Row& compiled_row = rows[compiled_at + i];
       const double s = compiled_row.warm_s > 0
-                           ? interp_row.warm_s / compiled_row.warm_s
+                           ? oracle_row.warm_s / compiled_row.warm_s
                            : 0;
       speedup_ok = speedup_ok && s >= 3.0;
       w.begin_object();
-      w.key("threads").value(interp_row.threads);
-      w.key("compiled_vs_interp").value(s);
+      w.key("threads").value(oracle_row.threads);
+      w.key("compiled_vs_oracle").value(s);
       w.end_object();
     }
     w.end_array();
@@ -247,55 +202,6 @@ int main() {
     w.end_object();
   }
   w.end_array();
-  set_replay_mode(ReplayMode::Compiled);
-
-  // Per-opcode column kernels: best table vs the scalar table on dense
-  // 64k columns, one thread. This is the simd_speedup gate's basis --
-  // pure kernel throughput, no scheduling, no cache effects beyond the
-  // streamed columns themselves.
-  {
-    constexpr std::size_t kN = 1 << 16;
-    constexpr int kOpReps = 40;
-    const std::vector<std::int32_t> a = random_column(kN, 7);
-    const std::vector<std::int32_t> b = random_column(kN, 8);
-    std::vector<std::int32_t> out_best(kN), out_scalar(kN);
-    const detail::ReplayKernelTable& scalar = detail::scalar_kernel_table();
-    set_replay_isa(ReplayIsa::Native);
-    const detail::ReplayKernelTable& best = detail::active_kernel_table();
-
-    double scalar_total_s = 0, best_total_s = 0;
-    w.key("opcode_kernels").begin_array();
-    for (int op = 0; op < detail::kNumOpKernels; ++op) {
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int r = 0; r < kOpReps; ++r) {
-        scalar.op[op](a.data(), b.data(), out_scalar.data(), kN);
-      }
-      const double scalar_s = now_minus(t0);
-      const auto t1 = std::chrono::steady_clock::now();
-      for (int r = 0; r < kOpReps; ++r) {
-        best.op[op](a.data(), b.data(), out_best.data(), kN);
-      }
-      const double best_s = now_minus(t1);
-      equivalent = equivalent && out_best == out_scalar;
-      scalar_total_s += scalar_s;
-      best_total_s += best_s;
-      const double total = static_cast<double>(kN) * kOpReps;
-      w.begin_object();
-      w.key("op").value(op);
-      w.key("scalar_ns_per_element").value(scalar_s * 1e9 / total);
-      w.key("best_ns_per_element").value(best_s * 1e9 / total);
-      w.key("speedup").value(best_s > 0 ? scalar_s / best_s : 0);
-      w.end_object();
-    }
-    w.end_array();
-    const double simd_speedup =
-        best_total_s > 0 ? scalar_total_s / best_total_s : 0;
-    // The acceptance gate: on SIMD hardware the vector table must beat
-    // the (auto-vectorizer-optimized) scalar loops by >= 1.5x overall.
-    simd_ok = !has_simd || simd_speedup >= 1.5;
-    w.key("simd_isa").value(best.name);
-    w.key("simd_speedup").value(simd_speedup);
-  }
 
   // Packed popcount toggle kernel vs the scalar loop it replaced.
   {
@@ -366,7 +272,6 @@ int main() {
 
   w.key("speedup_ok").value(speedup_ok);
   w.key("monotone_ok").value(monotone_ok);
-  w.key("simd_ok").value(simd_ok);
   w.key("equivalent").value(equivalent);
   w.end_object();
   const std::string json = w.str() + "\n";
@@ -379,5 +284,5 @@ int main() {
     std::fprintf(stderr, "cannot write BENCH_power.json\n");
     return 1;
   }
-  return equivalent && monotone_ok && simd_ok ? 0 : 1;
+  return equivalent && monotone_ok ? 0 : 1;
 }

@@ -20,6 +20,9 @@ hsyn_bench(bench_scaling)
 hsyn_bench(bench_runtime)
 hsyn_bench(bench_eval)
 hsyn_bench(bench_power)
+# The compiled-vs-oracle gate uses the reference interpreter that lives
+# with the tests (tests/replay_oracle.h).
+target_include_directories(bench_power PRIVATE ${CMAKE_SOURCE_DIR}/tests)
 hsyn_bench(bench_obs)
 hsyn_bench(bench_serve)
 hsyn_bench(bench_portfolio)

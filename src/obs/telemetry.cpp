@@ -188,11 +188,6 @@ TelemetrySample Telemetry::collect() {
 
   Registry& reg = Registry::instance();
   s.rewrites_refuted = reg.counter("synth.rewrites_refuted").value();
-  // The replay kernel publishes its resolved ISA as a gauge (ordinal + 1,
-  // power/replay.cpp); reading it generically keeps obs free of any
-  // power-layer dependency.
-  s.replay_isa =
-      static_cast<std::uint64_t>(reg.gauge("replay.isa").value());
   // Keep the dropped-record gauges current so a --metrics-out snapshot
   // carries the accounting even when nobody reads the ring.
   reg.gauge("obs.spans_dropped").set(static_cast<double>(s.spans_dropped));
@@ -279,7 +274,6 @@ std::string Telemetry::sample_json(const TelemetrySample& s) {
   w.key("spans_dropped").value(s.spans_dropped);
   w.key("ledger_dropped").value(s.ledger_dropped);
   w.key("rewrites_refuted").value(s.rewrites_refuted);
-  w.key("replay_isa").value(s.replay_isa);
   w.key("jobs").begin_array();
   for (const JobSample& j : s.jobs) {
     w.begin_object();

@@ -132,9 +132,6 @@ struct TelemetrySample {
   std::uint64_t spans_dropped = 0;
   std::uint64_t ledger_dropped = 0;
   std::uint64_t rewrites_refuted = 0;
-  /// Selected replay kernel ISA: the `replay.isa` gauge, which holds the
-  /// ReplayIsa ordinal + 1 (0 = no replay has resolved the table yet).
-  std::uint64_t replay_isa = 0;
   std::vector<JobSample> jobs;  ///< ascending by job id
 };
 

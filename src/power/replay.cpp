@@ -1,17 +1,12 @@
 #include "power/replay.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 
 #include "eval/engine.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "power/replay_kernels.h"
 #include "power/trace.h"
 #include "runtime/arena.h"
 #include "runtime/parallel.h"
@@ -22,9 +17,6 @@ namespace {
 
 constexpr std::uint64_t kProgramContext = 0x9E91A79E91A70005ull;
 
-// -1 = not yet initialized from HSYN_REPLAY.
-std::atomic<int> g_mode{-1};
-
 }  // namespace
 
 std::vector<std::vector<std::int32_t>> EdgeMatrix::rows() const {
@@ -33,8 +25,7 @@ std::vector<std::vector<std::int32_t>> EdgeMatrix::rows() const {
   // Blocked transpose: 64x64 tiles keep one stripe of destination rows
   // cache-resident while a stripe of source columns streams through --
   // the element-by-element sweep re-touched every row once per column,
-  // which is quadratic cache traffic on the interp-compare path
-  // (HSYN_EVAL_VERIFY calls rows() on every matrix).
+  // which is quadratic cache traffic on wide matrices.
   constexpr std::size_t kTile = 64;
   const std::size_t E = static_cast<std::size_t>(num_edges_);
   for (std::size_t t0 = 0; t0 < samples_; t0 += kTile) {
@@ -60,264 +51,6 @@ std::size_t ReplayProgram::bytes() const {
          (h.in_slots.size() + h.out_slots.size()) * sizeof(std::int32_t);
   }
   return b;
-}
-
-ReplayMode replay_mode() {
-  int m = g_mode.load(std::memory_order_relaxed);
-  if (m < 0) {
-    ReplayMode parsed = ReplayMode::Compiled;
-    if (const char* s = std::getenv("HSYN_REPLAY")) {
-      check(parse_replay_mode(s, &parsed),
-            std::string("HSYN_REPLAY must be 'interp' or 'compiled', got '") +
-                s + "'");
-    }
-    m = static_cast<int>(parsed);
-    g_mode.store(m, std::memory_order_relaxed);
-  }
-  return static_cast<ReplayMode>(m);
-}
-
-void set_replay_mode(ReplayMode mode) {
-  g_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
-
-bool parse_replay_mode(const std::string& s, ReplayMode* out) {
-  if (s == "interp") {
-    *out = ReplayMode::Interp;
-    return true;
-  }
-  if (s == "compiled") {
-    *out = ReplayMode::Compiled;
-    return true;
-  }
-  return false;
-}
-
-// ---- Scalar kernel table and ISA dispatch --------------------------------
-//
-// The portable reference loops. Each is one tight per-opcode sweep down
-// a column; the SIMD tables (replay_simd_avx2.cpp / replay_simd_neon.cpp)
-// reproduce exactly these values 8 or 4 lanes at a time and run these
-// loops for sub-width tails.
-
-namespace {
-
-// The kernel tables index ops by their enum ordinal; a reorder of Op
-// would silently misdispatch without this pin.
-static_assert(static_cast<int>(Op::Add) == 0 && static_cast<int>(Op::Sub) == 1 &&
-                  static_cast<int>(Op::Mult) == 2 &&
-                  static_cast<int>(Op::ShiftL) == 3 &&
-                  static_cast<int>(Op::ShiftR) == 4 &&
-                  static_cast<int>(Op::Cmp) == 5 &&
-                  static_cast<int>(Op::And) == 6 &&
-                  static_cast<int>(Op::Or) == 7 &&
-                  static_cast<int>(Op::Xor) == 8 &&
-                  static_cast<int>(Op::Neg) == 9 &&
-                  static_cast<int>(Op::Hier) == detail::kNumOpKernels,
-              "kernel tables are indexed by Op ordinal");
-
-void scalar_add(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) {
-    o[t] = mask16(static_cast<std::int64_t>(a[t]) + b[t]);
-  }
-}
-void scalar_sub(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) {
-    o[t] = mask16(static_cast<std::int64_t>(a[t]) - b[t]);
-  }
-}
-void scalar_mult(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                 std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) {
-    o[t] = mask16(static_cast<std::int64_t>(a[t]) * b[t]);
-  }
-}
-void scalar_shiftl(const std::int32_t* a, const std::int32_t* b,
-                   std::int32_t* o, std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) {
-    o[t] = mask16(static_cast<std::int64_t>(a[t]) << (b[t] & 15));
-  }
-}
-void scalar_shiftr(const std::int32_t* a, const std::int32_t* b,
-                   std::int32_t* o, std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] >> (b[t] & 15));
-}
-void scalar_cmp(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) o[t] = a[t] < b[t] ? 1 : 0;
-}
-void scalar_and(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] & b[t]);
-}
-void scalar_or(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-               std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] | b[t]);
-}
-void scalar_xor(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                std::size_t len) {
-  for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] ^ b[t]);
-}
-void scalar_neg(const std::int32_t* a, const std::int32_t* b, std::int32_t* o,
-                std::size_t len) {
-  (void)b;  // unary: the compiled step wires the pooled constant 0 here
-  for (std::size_t t = 0; t < len; ++t) {
-    o[t] = mask16(-static_cast<std::int64_t>(a[t]));
-  }
-}
-
-int scalar_toggle_count(const std::int32_t* v, std::size_t n) {
-  if (n < 2) return 0;
-  int total = 0;
-  std::uint64_t packed = 0;
-  int lanes = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::uint64_t d = (static_cast<std::uint32_t>(v[i - 1]) ^
-                             static_cast<std::uint32_t>(v[i])) & 0xFFFFu;
-    packed |= d << (16 * lanes);
-    if (++lanes == 4) {
-      total += std::popcount(packed);
-      packed = 0;
-      lanes = 0;
-    }
-  }
-  return total + std::popcount(packed);
-}
-
-int scalar_hamming_pair(const std::int32_t* a, const std::int32_t* b,
-                        std::size_t n) {
-  int total = 0;
-  std::uint64_t packed = 0;
-  int lanes = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t d = (static_cast<std::uint32_t>(a[i]) ^
-                             static_cast<std::uint32_t>(b[i])) & 0xFFFFu;
-    packed |= d << (16 * lanes);
-    if (++lanes == 4) {
-      total += std::popcount(packed);
-      packed = 0;
-      lanes = 0;
-    }
-  }
-  return total + std::popcount(packed);
-}
-
-/// Active table; nullptr until the first resolution (from HSYN_REPLAY_ISA
-/// or set_replay_isa).
-std::atomic<const detail::ReplayKernelTable*> g_isa_table{nullptr};
-
-const detail::ReplayKernelTable* table_for(ReplayIsa isa) {
-  switch (isa) {
-    case ReplayIsa::Scalar:
-      return &detail::scalar_kernel_table();
-    case ReplayIsa::Avx2:
-      return detail::avx2_kernel_table();
-    case ReplayIsa::Neon:
-      return detail::neon_kernel_table();
-    case ReplayIsa::Native:
-      if (const auto* t = detail::avx2_kernel_table()) return t;
-      if (const auto* t = detail::neon_kernel_table()) return t;
-      return &detail::scalar_kernel_table();
-  }
-  return &detail::scalar_kernel_table();
-}
-
-/// Publish the selection to obs: the `replay.isa` gauge holds the
-/// selected ordinal + 1 (0 = replay has not resolved yet), and the
-/// `replay-isa` source names the selected and available tables.
-void publish_isa(const detail::ReplayKernelTable& t) {
-  obs::Registry& reg = obs::Registry::instance();
-  reg.gauge("replay.isa").set(static_cast<double>(static_cast<int>(t.isa) + 1));
-  static const bool registered = [&reg] {
-    reg.register_source("replay-isa", [] {
-      std::map<std::string, std::uint64_t> m;
-      m["available_scalar"] = 1;
-      m["available_avx2"] = detail::avx2_kernel_table() != nullptr ? 1 : 0;
-      m["available_neon"] = detail::neon_kernel_table() != nullptr ? 1 : 0;
-      m[std::string("selected_") + detail::active_kernel_table().name] = 1;
-      return m;
-    });
-    return true;
-  }();
-  (void)registered;
-}
-
-}  // namespace
-
-namespace detail {
-
-const ReplayKernelTable& scalar_kernel_table() {
-  static const ReplayKernelTable t = {
-      ReplayIsa::Scalar,
-      "scalar",
-      {scalar_add, scalar_sub, scalar_mult, scalar_shiftl, scalar_shiftr,
-       scalar_cmp, scalar_and, scalar_or, scalar_xor, scalar_neg},
-      scalar_toggle_count,
-      scalar_hamming_pair,
-  };
-  return t;
-}
-
-const ReplayKernelTable& active_kernel_table() {
-  const ReplayKernelTable* t = g_isa_table.load(std::memory_order_acquire);
-  if (t == nullptr) {
-    ReplayIsa isa = ReplayIsa::Native;
-    if (const char* s = std::getenv("HSYN_REPLAY_ISA")) {
-      check(parse_replay_isa(s, &isa),
-            std::string("HSYN_REPLAY_ISA must be 'scalar', 'avx2', 'neon' or "
-                        "'native', got '") + s + "'");
-    }
-    set_replay_isa(isa);  // races resolve to the same table: benign
-    t = g_isa_table.load(std::memory_order_acquire);
-  }
-  return *t;
-}
-
-}  // namespace detail
-
-ReplayIsa replay_isa() { return detail::active_kernel_table().isa; }
-
-void set_replay_isa(ReplayIsa isa) {
-  const detail::ReplayKernelTable* t = table_for(isa);
-  check(t != nullptr,
-        std::string("replay ISA '") + replay_isa_name(isa) +
-            "' is not available on this build/CPU; use 'scalar' or 'native'");
-  g_isa_table.store(t, std::memory_order_release);
-  publish_isa(*t);
-}
-
-bool parse_replay_isa(const std::string& s, ReplayIsa* out) {
-  if (s == "scalar") {
-    *out = ReplayIsa::Scalar;
-    return true;
-  }
-  if (s == "avx2") {
-    *out = ReplayIsa::Avx2;
-    return true;
-  }
-  if (s == "neon") {
-    *out = ReplayIsa::Neon;
-    return true;
-  }
-  if (s == "native") {
-    *out = ReplayIsa::Native;
-    return true;
-  }
-  return false;
-}
-
-bool replay_isa_available(ReplayIsa isa) { return table_for(isa) != nullptr; }
-
-const char* replay_isa_name(ReplayIsa isa) {
-  switch (isa) {
-    case ReplayIsa::Scalar: return "scalar";
-    case ReplayIsa::Avx2: return "avx2";
-    case ReplayIsa::Neon: return "neon";
-    case ReplayIsa::Native: return "native";
-  }
-  return "scalar";
 }
 
 ReplayProgram compile_replay(const Dfg& dfg) {
@@ -361,12 +94,11 @@ ReplayProgram compile_replay(const Dfg& dfg) {
       continue;
     }
     const int out = dfg.output_edge(nid, 0);
-    // A dead operation (unconsumed result) has no effect on any column;
-    // the interpreter skips the write too.
+    // A dead operation (unconsumed result) has no effect on any column.
     if (out < 0) continue;
     const std::int32_t a = dfg.input_edge(nid, 0);
     // Unary ops read the constant 0 as their second operand, matching
-    // eval_op's calling convention in the interpreter.
+    // eval_op's calling convention.
     const std::int32_t b =
         n.num_inputs > 1 ? dfg.input_edge(nid, 1) : const_slot(0);
     p.steps.push_back({n.op, a, b, out});
@@ -394,6 +126,59 @@ std::shared_ptr<const ReplayProgram> replay_program_of(const Dfg& dfg) {
 
 namespace {
 
+/// One opcode down a column: o[t] = eval_op(op, a[t], b[t]) for t in
+/// [0, len). One plain loop per opcode, so the switch is decided once
+/// per step, never per element, and each loop body is branch-free.
+void exec_op(Op op, const std::int32_t* a, const std::int32_t* b,
+             std::int32_t* o, std::size_t len) {
+  switch (op) {
+    case Op::Add:
+      for (std::size_t t = 0; t < len; ++t) {
+        o[t] = mask16(static_cast<std::int64_t>(a[t]) + b[t]);
+      }
+      return;
+    case Op::Sub:
+      for (std::size_t t = 0; t < len; ++t) {
+        o[t] = mask16(static_cast<std::int64_t>(a[t]) - b[t]);
+      }
+      return;
+    case Op::Mult:
+      for (std::size_t t = 0; t < len; ++t) {
+        o[t] = mask16(static_cast<std::int64_t>(a[t]) * b[t]);
+      }
+      return;
+    case Op::ShiftL:
+      for (std::size_t t = 0; t < len; ++t) {
+        o[t] = mask16(static_cast<std::int64_t>(a[t]) << (b[t] & 15));
+      }
+      return;
+    case Op::ShiftR:
+      for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] >> (b[t] & 15));
+      return;
+    case Op::Cmp:
+      for (std::size_t t = 0; t < len; ++t) o[t] = a[t] < b[t] ? 1 : 0;
+      return;
+    case Op::And:
+      for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] & b[t]);
+      return;
+    case Op::Or:
+      for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] | b[t]);
+      return;
+    case Op::Xor:
+      for (std::size_t t = 0; t < len; ++t) o[t] = mask16(a[t] ^ b[t]);
+      return;
+    case Op::Neg:
+      // Unary: the compiled step wires the pooled constant 0 into b.
+      for (std::size_t t = 0; t < len; ++t) {
+        o[t] = mask16(-static_cast<std::int64_t>(a[t]));
+      }
+      return;
+    case Op::Hier:
+      break;
+  }
+  check(false, "replay: hierarchical step is not a column op");
+}
+
 /// Run `p` over `len` consecutive samples. `cols[s]` is the column for
 /// slot s (edges first, then the constant pool); input-edge columns are
 /// pre-filled by the caller, every other edge column starts zeroed.
@@ -402,51 +187,45 @@ namespace {
 void exec_program(const ReplayProgram& p, const BehaviorResolver& res,
                   std::int32_t** cols, std::size_t len,
                   runtime::Arena& arena) {
-  // Resolve the kernel table once per batch, not once per step: the
-  // atomic load is cheap but not free down a hot program.
-  const detail::ReplayKernelTable& kt = detail::active_kernel_table();
   for (const ReplayStep& s : p.steps) {
-    if (s.op == Op::Hier) {
-      const ReplayHierCall& h =
-          p.hier_calls[static_cast<std::size_t>(s.a)];
-      const Dfg* child = res(h.behavior);
-      check(child != nullptr, "unresolved behavior " + h.behavior);
-      const auto cp = replay_program_of(*child);
-      check(static_cast<int>(h.in_slots.size()) == cp->num_inputs,
-            "eval_dfg_edges: input arity mismatch");
-      runtime::Arena::Frame frame(arena);
-      const std::size_t nedges = static_cast<std::size_t>(cp->num_edges);
-      std::int32_t* block = arena.alloc_i32(nedges * len);
-      std::memset(block, 0, nedges * len * sizeof(std::int32_t));
-      std::int32_t** ccols =
-          arena.alloc_ptrs<std::int32_t>(nedges + cp->consts.size());
-      for (std::size_t e = 0; e < nedges; ++e) ccols[e] = block + e * len;
-      for (std::size_t j = 0; j < cp->consts.size(); ++j) {
-        std::int32_t* c = arena.alloc_i32(len);
-        for (std::size_t t = 0; t < len; ++t) c[t] = cp->consts[j];
-        ccols[nedges + j] = c;
-      }
-      for (int i = 0; i < cp->num_inputs; ++i) {
-        const std::int32_t slot = cp->input_slots[static_cast<std::size_t>(i)];
-        if (slot >= 0) {
-          std::memcpy(ccols[slot], cols[h.in_slots[static_cast<std::size_t>(i)]],
-                      len * sizeof(std::int32_t));
-        }
-      }
-      exec_program(*cp, res, ccols, len, arena);
-      for (std::size_t o = 0; o < h.out_slots.size(); ++o) {
-        if (h.out_slots[o] < 0) continue;
-        const std::int32_t ce = cp->output_slots[o];
-        check(ce >= 0, "replay: hier output without child output edge");
-        std::memcpy(cols[h.out_slots[o]], ccols[ce],
-                    len * sizeof(std::int32_t));
-      }
+    if (s.op != Op::Hier) {
+      exec_op(s.op, cols[s.a], cols[s.b], cols[s.out], len);
       continue;
     }
-    // One kernel-table call per step: all per-step decisions were made
-    // at compile time, the selected ISA's loop is branch-free down the
-    // column (SIMD body + scalar tail, or the pure scalar reference).
-    kt.op[static_cast<int>(s.op)](cols[s.a], cols[s.b], cols[s.out], len);
+    const ReplayHierCall& h = p.hier_calls[static_cast<std::size_t>(s.a)];
+    const Dfg* child = res(h.behavior);
+    check(child != nullptr, "unresolved behavior " + h.behavior);
+    const auto cp = replay_program_of(*child);
+    check(static_cast<int>(h.in_slots.size()) == cp->num_inputs,
+          "eval_dfg_edges: input arity mismatch");
+    check(static_cast<int>(h.out_slots.size()) == cp->num_outputs,
+          "eval_dfg_edges: output arity mismatch");
+    runtime::Arena::Frame frame(arena);
+    const std::size_t nedges = static_cast<std::size_t>(cp->num_edges);
+    std::int32_t* block = arena.alloc_i32(nedges * len);
+    std::memset(block, 0, nedges * len * sizeof(std::int32_t));
+    std::int32_t** ccols =
+        arena.alloc_ptrs<std::int32_t>(nedges + cp->consts.size());
+    for (std::size_t e = 0; e < nedges; ++e) ccols[e] = block + e * len;
+    for (std::size_t j = 0; j < cp->consts.size(); ++j) {
+      std::int32_t* c = arena.alloc_i32(len);
+      for (std::size_t t = 0; t < len; ++t) c[t] = cp->consts[j];
+      ccols[nedges + j] = c;
+    }
+    for (int i = 0; i < cp->num_inputs; ++i) {
+      const std::int32_t slot = cp->input_slots[static_cast<std::size_t>(i)];
+      if (slot >= 0) {
+        std::memcpy(ccols[slot], cols[h.in_slots[static_cast<std::size_t>(i)]],
+                    len * sizeof(std::int32_t));
+      }
+    }
+    exec_program(*cp, res, ccols, len, arena);
+    for (std::size_t o = 0; o < h.out_slots.size(); ++o) {
+      if (h.out_slots[o] < 0) continue;
+      const std::int32_t ce = cp->output_slots[o];
+      check(ce >= 0, "replay: hier output without child output edge");
+      std::memcpy(cols[h.out_slots[o]], ccols[ce], len * sizeof(std::int32_t));
+    }
   }
 }
 
@@ -454,19 +233,8 @@ void exec_program(const ReplayProgram& p, const BehaviorResolver& res,
 /// resolved) before a replay batch is worth fanning out over the pool.
 /// Below it the pool's wake/sleep handshake dominates the column sweeps
 /// themselves -- the cause of 8-thread replay measuring *slower* than
-/// 2-thread on small designs. Tunable via HSYN_REPLAY_SERIAL_CUTOFF
-/// (element-ops; 0 disables the serial fallback).
-std::size_t serial_cutoff() {
-  static const std::size_t cutoff = [] {
-    if (const char* s = std::getenv("HSYN_REPLAY_SERIAL_CUTOFF")) {
-      char* end = nullptr;
-      const long long v = std::strtoll(s, &end, 10);
-      if (end != s && v >= 0) return static_cast<std::size_t>(v);
-    }
-    return std::size_t{1} << 18;
-  }();
-  return cutoff;
-}
+/// 2-thread on small designs.
+constexpr std::size_t kSerialCutoff = std::size_t{1} << 18;
 
 /// Steps per sample of `p` with hierarchical calls resolved recursively
 /// (plus the per-call port copies). Memoized inside the program itself
@@ -500,11 +268,10 @@ EdgeMatrix replay_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,
   EdgeMatrix mat(prog->num_edges, T);
   if (T == 0) return mat;
   const int n = static_cast<int>(T);
-  const std::size_t cutoff = serial_cutoff();
   // Sub-threshold batches run serially (k = 1): chunking is free to vary
   // because every cell is an exact integer function of one sample, so
   // the chunk count changes only speed, never values.
-  const int k = cutoff != 0 && program_weight(*prog, res) * T < cutoff
+  const int k = program_weight(*prog, res) * T < kSerialCutoff
                     ? 1
                     : runtime::num_chunks(n);
   // Chunks own disjoint [lo, hi) slices of every column, so the batch

@@ -1,9 +1,5 @@
-// Compiled batched trace-replay kernel.
-//
-// The interpreter in power/trace.cpp walks a DFG's topological order once
-// per time step, re-deciding per node what to do and allocating per-step
-// vectors. This module replaces that inner loop for the move engine's hot
-// path:
+// Compiled batched trace replay: the evaluator behind eval_dfg_edges and
+// every power estimate.
 //
 //   1. Each Dfg is *compiled once* into a ReplayProgram -- a flat,
 //      topologically ordered list of (opcode, operand slot, operand slot,
@@ -15,21 +11,17 @@
 //
 //   2. Programs execute over a structure-of-arrays EdgeMatrix: one dense
 //      int32 column per edge spanning the whole trace. The executor runs
-//      one kernel-table call per step down each column -- no per-step
-//      control flow, no per-step allocation. The kernel table
-//      (power/replay_kernels.h) is selected once per process from
-//      HSYN_REPLAY_ISA: explicit SIMD loops (AVX2 8xint32, NEON 4xint32)
-//      with scalar tails, or the portable scalar reference -- all
-//      bitwise-equal by construction. Hierarchical calls expand the
+//      one plain per-opcode loop per step down each column -- no per-step
+//      control flow, no per-step allocation. Hierarchical calls expand the
 //      child program over the same batch with child columns carved out
 //      of the calling worker's scratch Arena (runtime/arena.h).
 //
-//   3. The trace batch is chunked over the deterministic runtime exactly
-//      like the interpreter (runtime/parallel.h static chunking). Every
-//      value is an exact 16-bit integer function of one sample's inputs,
-//      so the kernel is bit-identical to the interpreter at any thread
-//      count; HSYN_REPLAY=interp keeps the interpreter alive as the
-//      reference implementation for equivalence tests and CI diffs.
+//   3. The trace batch is chunked over the deterministic runtime
+//      (runtime/parallel.h static chunking). Every value is an exact
+//      16-bit integer function of one sample's inputs, so the result is
+//      bit-identical at any thread count. The per-time-step interpreter
+//      the kernel is tested against lives in the test tree
+//      (tests/replay_oracle.h).
 #pragma once
 
 #include <atomic>
@@ -46,8 +38,8 @@ namespace hsyn {
 /// Edge-major values of every DFG edge over a trace: column e holds edge
 /// e's value at each sample. This is the shape both the executor (one
 /// opcode loop per column) and the power estimator (one toggle count per
-/// stream) want; the interpreter's sample-major rows are available via
-/// rows() for tests and APIs that iterate per sample.
+/// stream) want; sample-major rows are available via rows() for tests
+/// and APIs that iterate per sample.
 class EdgeMatrix {
  public:
   EdgeMatrix() = default;
@@ -84,8 +76,9 @@ class EdgeMatrix {
 
 /// One compiled step: out <- op(slots[a], slots[b]). Slots [0, num_edges)
 /// are edge columns; slots >= num_edges index the constant pool (unary
-/// ops take the constant 0 as their second operand, matching the
-/// interpreter). A Hier step instead holds the hier_calls index in `a`.
+/// ops take the constant 0 as their second operand, matching eval_op's
+/// calling convention). A Hier step instead holds the hier_calls index
+/// in `a`.
 struct ReplayStep {
   Op op = Op::Add;
   std::int32_t a = 0;
@@ -171,55 +164,11 @@ ReplayProgram compile_replay(const Dfg& dfg);
 /// across the process (eval engine program cache).
 std::shared_ptr<const ReplayProgram> replay_program_of(const Dfg& dfg);
 
-/// Evaluate every edge of `dfg` over `inputs` with the compiled kernel.
-/// Bit-identical to the interpreter for any thread count. This is the
-/// uncached backend; eval_dfg_edges_shared (power/trace.h) adds the
-/// process-wide memoization and the HSYN_REPLAY mode dispatch.
+/// Evaluate every edge of `dfg` over `inputs` with the compiled kernel,
+/// bit-identical for any thread count. This is the uncached backend;
+/// eval_dfg_edges_shared (power/trace.h) adds the process-wide
+/// memoization.
 EdgeMatrix replay_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,
                               const Trace& inputs);
-
-/// Which evaluator backs eval_dfg_edges and friends.
-enum class ReplayMode {
-  Compiled,  ///< batched replay kernel (default)
-  Interp,    ///< per-time-step reference interpreter
-};
-
-/// Process-wide mode, initialized from HSYN_REPLAY (interp|compiled).
-ReplayMode replay_mode();
-void set_replay_mode(ReplayMode mode);
-
-/// Parse "interp" / "compiled"; returns false on anything else.
-bool parse_replay_mode(const std::string& s, ReplayMode* out);
-
-/// Instruction set backing the compiled kernel's per-opcode column loops
-/// and the fused toggle kernels (power/trace.h). All kernels are
-/// bitwise-equal to the scalar reference by construction (16-bit-masked
-/// lane-wise maps), so the selection changes only speed, never results.
-enum class ReplayIsa {
-  Scalar,  ///< portable reference loops (always available)
-  Avx2,    ///< x86-64 AVX2, 8 int32 lanes
-  Neon,    ///< aarch64 NEON, 4 int32 lanes
-  Native,  ///< resolve to the best ISA available at runtime
-};
-
-/// The resolved selection (never Native), initialized from
-/// HSYN_REPLAY_ISA (scalar|avx2|neon|native; default native) on first
-/// use. Also published as the `replay.isa` gauge (ordinal + 1) and the
-/// `replay-isa` counter source in the obs metrics registry.
-ReplayIsa replay_isa();
-
-/// Select the kernel table. Native resolves to the best available ISA;
-/// explicitly requesting an ISA that is not compiled in or not supported
-/// by this CPU is a hard error (scalar and native always succeed).
-void set_replay_isa(ReplayIsa isa);
-
-/// Parse "scalar" / "avx2" / "neon" / "native"; false on anything else.
-bool parse_replay_isa(const std::string& s, ReplayIsa* out);
-
-/// Whether `isa` can be selected on this build + CPU.
-bool replay_isa_available(ReplayIsa isa);
-
-/// Lower-case name ("scalar", "avx2", "neon", "native").
-const char* replay_isa_name(ReplayIsa isa);
 
 }  // namespace hsyn

@@ -1,9 +1,8 @@
 // Event-driven per-sample simulation: inherently serial within a sample
 // (register states thread through the event list), so nothing here is
 // batchable across the trace the way the replay kernel's columns are.
-// It still consumes the shared HSYN_REPLAY_ISA-evaluated edge matrix and
-// per-event hamming16/hamming_tuple sums, so simulate_rtl's results are
-// identical across every replay ISA selection by construction.
+// It still consumes the shared replay-evaluated edge matrix and
+// per-event hamming16/hamming_tuple sums.
 #include "power/rtlsim.h"
 
 #include <algorithm>

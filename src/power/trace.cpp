@@ -4,22 +4,54 @@
 #include <bit>
 
 #include "eval/engine.h"
-#include "obs/trace.h"
 #include "power/replay.h"
-#include "power/replay_kernels.h"
-#include "runtime/parallel.h"
 #include "util/fmt.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
 namespace hsyn {
 
+namespace {
+
+constexpr std::uint64_t kEdgeValsContext = 0xEDEA15EDEA150003ull;
+
+/// Sums 16-bit Hamming distances four to a uint64_t popcount: each XOR
+/// word takes one 16-bit lane, and a full word costs one popcount
+/// instead of four.
+class PackedHamming {
+ public:
+  void add(std::uint32_t a, std::uint32_t b) {
+    packed_ |= static_cast<std::uint64_t>((a ^ b) & 0xFFFFu) << (16 * lanes_);
+    if (++lanes_ == 4) {
+      total_ += std::popcount(packed_);
+      packed_ = 0;
+      lanes_ = 0;
+    }
+  }
+  [[nodiscard]] int total() const { return total_ + std::popcount(packed_); }
+
+ private:
+  int total_ = 0;
+  std::uint64_t packed_ = 0;
+  int lanes_ = 0;
+};
+
+}  // namespace
+
 int toggle_count(const std::int32_t* v, std::size_t n) {
-  return detail::active_kernel_table().toggle_count(v, n);
+  PackedHamming acc;
+  for (std::size_t i = 1; i < n; ++i) {
+    acc.add(static_cast<std::uint32_t>(v[i - 1]), static_cast<std::uint32_t>(v[i]));
+  }
+  return acc.total();
 }
 
 int hamming_pair(const std::int32_t* a, const std::int32_t* b, std::size_t n) {
-  return detail::active_kernel_table().hamming_pair(a, b, n);
+  PackedHamming acc;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc.add(static_cast<std::uint32_t>(a[i]), static_cast<std::uint32_t>(b[i]));
+  }
+  return acc.total();
 }
 
 int toggle_count_gather(const std::int32_t* const* cols, std::size_t n_cols,
@@ -29,35 +61,26 @@ int toggle_count_gather(const std::int32_t* const* cols, std::size_t n_cols,
   // The interleaved stream's consecutive pairs split into n_cols groups:
   // within one sample, (cols[c-1][t], cols[c][t]) for each adjacent
   // column pair; across the sample boundary, (cols[n_cols-1][t],
-  // cols[0][t+1]). Each group is one dense vectorized hamming_pair sweep;
-  // integer addition in any grouping matches the buffered toggle_count
+  // cols[0][t+1]). Each group is one dense hamming_pair sweep; integer
+  // addition in any grouping matches the buffered toggle_count
   // bit-for-bit.
-  const detail::ReplayKernelTable& kt = detail::active_kernel_table();
   int total = 0;
   for (std::size_t c = 1; c < n_cols; ++c) {
-    total += kt.hamming_pair(cols[c - 1], cols[c], T);
+    total += hamming_pair(cols[c - 1], cols[c], T);
   }
-  total += kt.hamming_pair(cols[n_cols - 1], cols[0] + 1, T - 1);
+  total += hamming_pair(cols[n_cols - 1], cols[0] + 1, T - 1);
   return total;
 }
 
 int hamming_tuple(const std::int32_t* a, std::size_t na,
                   const std::int32_t* b, std::size_t nb) {
   const std::size_t n = std::max(na, nb);
-  int total = 0;
-  std::uint64_t packed = 0;
-  int lanes = 0;
+  PackedHamming acc;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t va = i < na ? static_cast<std::uint32_t>(a[i]) : 0;
-    const std::uint32_t vb = i < nb ? static_cast<std::uint32_t>(b[i]) : 0;
-    packed |= static_cast<std::uint64_t>((va ^ vb) & 0xFFFFu) << (16 * lanes);
-    if (++lanes == 4) {
-      total += std::popcount(packed);
-      packed = 0;
-      lanes = 0;
-    }
+    acc.add(i < na ? static_cast<std::uint32_t>(a[i]) : 0,
+            i < nb ? static_cast<std::uint32_t>(b[i]) : 0);
   }
-  return total + std::popcount(packed);
+  return acc.total();
 }
 
 Trace make_trace(int num_inputs, int num_samples, std::uint64_t seed,
@@ -88,83 +111,6 @@ std::uint64_t trace_fingerprint(const Trace& t) {
   return hash_final(h);
 }
 
-namespace {
-
-constexpr std::uint64_t kEdgeValsContext = 0xEDEA15EDEA150003ull;
-
-/// The reference interpreter (HSYN_REPLAY=interp): per-time-step walk of
-/// the topological order, hierarchical nodes recursing one sample at a
-/// time. Kept verbatim as the semantic ground truth the compiled kernel
-/// (power/replay.cpp) is tested against.
-EdgeMatrix interp_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,
-                              const Trace& inputs) {
-  obs::Span span("trace-replay");
-  std::vector<std::vector<std::int32_t>> vals(
-      inputs.size(), std::vector<std::int32_t>(dfg.edges().size(), 0));
-  // Samples are independent (the DFG is a pure function of one sample's
-  // inputs), so the trace batch fans out over the runtime: each task
-  // writes only its own vals[t] row, all values are integers, and the
-  // result is bit-identical for any thread count.
-  runtime::parallel_for(static_cast<int>(inputs.size()), [&](int ti) {
-    const std::size_t t = static_cast<std::size_t>(ti);
-    const Sample& in = inputs[t];
-    check(static_cast<int>(in.size()) == dfg.num_inputs(),
-          "eval_dfg_edges: input arity mismatch");
-    auto& ev = vals[t];
-    for (int i = 0; i < dfg.num_inputs(); ++i) {
-      const int eid = dfg.primary_input_edge(i);
-      if (eid >= 0) ev[static_cast<std::size_t>(eid)] = in[static_cast<std::size_t>(i)];
-    }
-    for (const int nid : dfg.topo_order()) {
-      const Node& n = dfg.node(nid);
-      if (n.is_hier()) {
-        const Dfg* child = res(n.behavior);
-        check(child != nullptr, "unresolved behavior " + n.behavior);
-        Trace cin(1);
-        cin[0].resize(static_cast<std::size_t>(n.num_inputs));
-        for (int p = 0; p < n.num_inputs; ++p) {
-          cin[0][static_cast<std::size_t>(p)] =
-              ev[static_cast<std::size_t>(dfg.input_edge(nid, p))];
-        }
-        const std::vector<Sample> outs = eval_dfg(*child, res, cin);
-        for (int p = 0; p < n.num_outputs; ++p) {
-          const int eid = dfg.output_edge(nid, p);
-          if (eid >= 0) {
-            ev[static_cast<std::size_t>(eid)] = outs[0][static_cast<std::size_t>(p)];
-          }
-        }
-      } else {
-        const std::int32_t a =
-            ev[static_cast<std::size_t>(dfg.input_edge(nid, 0))];
-        const std::int32_t b =
-            n.num_inputs > 1 ? ev[static_cast<std::size_t>(dfg.input_edge(nid, 1))]
-                             : 0;
-        const int eid = dfg.output_edge(nid, 0);
-        if (eid >= 0) ev[static_cast<std::size_t>(eid)] = eval_op(n.op, a, b);
-      }
-    }
-  });
-  // Transpose the rows into the edge-major shape the estimator consumes.
-  EdgeMatrix mat(static_cast<int>(dfg.edges().size()), inputs.size());
-  for (std::size_t t = 0; t < inputs.size(); ++t) {
-    const auto& ev = vals[t];
-    for (int e = 0; e < mat.num_edges(); ++e) {
-      mat.col_mut(e)[t] = ev[static_cast<std::size_t>(e)];
-    }
-  }
-  return mat;
-}
-
-/// Dispatch to the HSYN_REPLAY-selected backend.
-EdgeMatrix eval_matrix_uncached(const Dfg& dfg, const BehaviorResolver& res,
-                                const Trace& inputs) {
-  return replay_mode() == ReplayMode::Interp
-             ? interp_eval_matrix(dfg, res, inputs)
-             : replay_eval_matrix(dfg, res, inputs);
-}
-
-}  // namespace
-
 std::shared_ptr<const EdgeMatrix>
 eval_dfg_edges_shared(const Dfg& dfg, const BehaviorResolver& res,
                       const Trace& inputs) {
@@ -172,10 +118,9 @@ eval_dfg_edges_shared(const Dfg& dfg, const BehaviorResolver& res,
   eval::EvalEngine& eng = eval::EvalEngine::instance();
   const eval::Key key{dfg.content_hash(), trace_fingerprint(inputs),
                       kEdgeValsContext};
-  // The interpreter's hierarchical-node recursion evaluates child DFGs
-  // one sample at a time; those tiny results would churn the cache, so
-  // only multi-sample evaluations -- the move engine's hot path -- are
-  // memoized.
+  // Single-sample evaluations (per-vector probes) would only churn the
+  // cache, so only multi-sample evaluations -- the move engine's hot
+  // path -- are memoized.
   const bool cacheable = inputs.size() > 1;
   std::shared_ptr<const EdgeMatrix> cached;
   if (cacheable) {
@@ -185,7 +130,7 @@ eval_dfg_edges_shared(const Dfg& dfg, const BehaviorResolver& res,
     }
   }
   auto vals =
-      std::make_shared<const EdgeMatrix>(eval_matrix_uncached(dfg, res, inputs));
+      std::make_shared<const EdgeMatrix>(replay_eval_matrix(dfg, res, inputs));
   if (cached != nullptr) {
     check(*cached == *vals,
           "eval verify: cached edge values diverge from recompute");

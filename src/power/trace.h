@@ -10,10 +10,8 @@
 // All arithmetic is 16-bit two's complement (wrap-around), the datapath
 // width of the synthesized circuits.
 //
-// Evaluation is served by one of two backends selected by HSYN_REPLAY
-// (power/replay.h): the compiled batched replay kernel (default) or the
-// per-time-step reference interpreter. Both are bit-identical at any
-// thread count.
+// Evaluation is served by the compiled batched replay kernel
+// (power/replay.h), bit-identical at any thread count.
 #pragma once
 
 #include <bit>
@@ -66,12 +64,10 @@ inline std::int32_t eval_op(Op op, std::int32_t a, std::int32_t b) {
   return 0;
 }
 
-// ---- Vectorized toggle counting ------------------------------------------
-// XOR + popcount over whole streams, dispatched through the replay
-// kernel table (power/replay_kernels.h): AVX2/NEON count 8/4 events per
-// iteration, the scalar reference packs four 16-bit XOR lanes per
-// uint64_t popcount. Integer sums in any grouping are equal, so every
-// path returns the same count bit-for-bit.
+// ---- Packed toggle counting ----------------------------------------------
+// XOR + popcount over whole streams, four 16-bit XOR lanes per uint64_t
+// popcount. Integer sums in any grouping are equal, so the count is
+// bit-for-bit the per-pair hamming16 sum.
 
 /// Total toggles between consecutive elements of `v`:
 /// sum over i in [1, n) of hamming16(v[i-1], v[i]). Zero when n < 2
@@ -86,7 +82,7 @@ int hamming_pair(const std::int32_t* a, const std::int32_t* b, std::size_t n);
 ///   cols[0][0], cols[1][0], ..., cols[n_cols-1][0], cols[0][1], ...
 /// without materializing it: equals toggle_count of the sample-major
 /// interleave buffer the estimator used to fill per stream. Decomposes
-/// into one vectorized hamming_pair per adjacent column pair plus the
+/// into one hamming_pair per adjacent column pair plus the
 /// wraparound pair (cols[n_cols-1][t] vs cols[0][t+1]).
 int toggle_count_gather(const std::int32_t* const* cols, std::size_t n_cols,
                         std::size_t T);
@@ -122,8 +118,7 @@ std::vector<std::vector<std::int32_t>> eval_dfg_edges(const Dfg& dfg,
 /// allocation can never alias a stale entry -- and handed out by
 /// shared_ptr so repeated evaluation of one (dfg, trace) pair costs no
 /// copies. Functionally equivalent resolver variants share entries by the
-/// BehaviorResolver contract above. Backed by the HSYN_REPLAY-selected
-/// evaluator; both backends produce bit-identical matrices.
+/// BehaviorResolver contract above.
 std::shared_ptr<const EdgeMatrix>
 eval_dfg_edges_shared(const Dfg& dfg, const BehaviorResolver& res,
                       const Trace& inputs);

@@ -59,7 +59,6 @@
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "power/replay.h"
 #include "rtl/controller.h"
 #include "rtl/netlist.h"
 #include "runtime/cancel.h"
@@ -102,12 +101,6 @@ struct Args {
   /// built-in default. The cache only changes synthesis speed, never its
   /// results.
   int eval_cache_mb = 0;
-  /// Trace-replay backend override (power/replay.h); empty = HSYN_REPLAY
-  /// env, else the compiled kernel. Both backends are bit-identical.
-  std::string replay;
-  /// Replay kernel ISA override (power/replay.h); empty = HSYN_REPLAY_ISA
-  /// env, else native. Every ISA produces bit-identical results.
-  std::string replay_isa;
   // Observability exports (empty = off).
   std::string trace_out;    ///< Chrome trace-event JSON (or HSYN_TRACE env)
   std::string move_log;     ///< move ledger JSONL (.csv for CSV)
@@ -144,8 +137,7 @@ void usage() {
                "            [--library FILE] [--trace FILE]\n"
                "            [--netlist FILE] [--verilog FILE] [--fsm FILE] [--dot FILE]\n"
                "            [--no-verify] [--check-moves] [--verify-rewrites] [--templates] [--auto-variants] [--seed N] "
-               "[--threads N] [--eval-cache-mb N] [--replay interp|compiled] "
-               "[--replay-isa scalar|avx2|neon|native] [--verbose]\n"
+               "[--threads N] [--eval-cache-mb N] [--verbose]\n"
                "            [--trace-out FILE] [--move-log FILE] [--metrics-out FILE]\n"
                "            [--telemetry-out FILE]\n"
                "            [--progress] [--job-time-ms N] [--job-cache-mb N]\n"
@@ -298,18 +290,6 @@ std::optional<Args> parse(int argc, char** argv) {
       if (!v) return std::nullopt;
       a.eval_cache_mb = std::atoi(v);
       if (a.eval_cache_mb <= 0) return std::nullopt;
-    } else if (arg == "--replay") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.replay = v;
-      hsyn::ReplayMode mode;
-      if (!hsyn::parse_replay_mode(a.replay, &mode)) return std::nullopt;
-    } else if (arg == "--replay-isa") {
-      const char* v = next();
-      if (!v) return std::nullopt;
-      a.replay_isa = v;
-      hsyn::ReplayIsa isa;
-      if (!hsyn::parse_replay_isa(a.replay_isa, &isa)) return std::nullopt;
     } else if (arg == "--serve") {
       const char* v = next();
       if (!v) return std::nullopt;
@@ -448,24 +428,10 @@ void setup_runtime(const Args& args) {
     eval::EvalEngine::instance().set_capacity_mb(
         static_cast<std::size_t>(args.eval_cache_mb));
   }
-  if (!args.replay.empty()) {
-    ReplayMode mode = ReplayMode::Compiled;
-    parse_replay_mode(args.replay, &mode);  // validated by parse()
-    set_replay_mode(mode);
-  }
-  if (!args.replay_isa.empty()) {
-    ReplayIsa isa = ReplayIsa::Native;
-    parse_replay_isa(args.replay_isa, &isa);  // validated by parse()
-    set_replay_isa(isa);  // hard error if explicitly unavailable
-  }
   if (args.verbose) {
     std::printf("runtime: %d thread(s)\n", runtime::threads());
     std::printf("eval cache: %zu MB\n",
                 eval::EvalEngine::instance().capacity_bytes() >> 20);
-    std::printf("trace replay: %s\n",
-                replay_mode() == ReplayMode::Interp ? "interpreter"
-                                                    : "compiled kernel");
-    std::printf("replay isa: %s\n", replay_isa_name(replay_isa()));
   }
 }
 
@@ -695,9 +661,8 @@ int run_serve(const Args& args) {
 /// `hsyn --connect`: the CLI as a thin client of a running daemon.
 int run_connect(const Args& args) {
   using namespace hsyn;
-  // Everything that shapes the daemon's process (threads, caches,
-  // replay backend) or needs the Datapath locally is a direct-mode
-  // concern.
+  // Everything that shapes the daemon's process (threads, caches) or
+  // needs the Datapath locally is a direct-mode concern.
   if (!args.netlist_file.empty() || !args.verilog_file.empty() ||
       !args.fsm_file.empty() || !args.dot_file.empty()) {
     std::fprintf(stderr,
@@ -713,11 +678,10 @@ int run_connect(const Args& args) {
                  "--connect\n");
     return 2;
   }
-  if (args.threads != 0 || args.eval_cache_mb != 0 || !args.replay.empty() ||
-      !args.replay_isa.empty()) {
+  if (args.threads != 0 || args.eval_cache_mb != 0) {
     std::fprintf(stderr,
-                 "hsyn: --threads/--eval-cache-mb/--replay/--replay-isa are "
-                 "fixed by the daemon; pass them to --serve\n");
+                 "hsyn: --threads/--eval-cache-mb are fixed by the daemon; "
+                 "pass them to --serve\n");
     return 2;
   }
 

@@ -27,6 +27,13 @@ struct Case {
   Mode mode;
 };
 
+// Without a printer gtest lists the raw bytes of a Case, which include the
+// string's heap pointer, so the listed test names change from run to run.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "(" << c.name << ", " << objective_name(c.obj) << ", "
+      << mode_name(c.mode) << ")";
+}
+
 class FullSynthesis : public ::testing::TestWithParam<Case> {};
 
 TEST_P(FullSynthesis, SucceedsAndVerifies) {

@@ -1,24 +1,24 @@
 // The compiled trace-replay kernel (power/replay.h): program compilation,
 // packed toggle counting, and -- the load-bearing property -- bit
-// identity between the compiled kernel and the reference interpreter on
-// every bundled benchmark, at every thread count, through the full
-// synthesis flow.
+// identity between the compiled kernel and the reference interpreter
+// (replay_oracle.h) on every behavior of every bundled benchmark, at
+// every thread count, through the full synthesis flow.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "benchmarks/benchmarks.h"
 #include "eval/engine.h"
-#include "obs/metrics.h"
 #include "power/estimator.h"
 #include "power/replay.h"
-#include "power/replay_kernels.h"
 #include "power/trace.h"
 #include "random_dfg.h"
+#include "replay_oracle.h"
 #include "runtime/arena.h"
 #include "runtime/thread_pool.h"
 #include "synth/report.h"
@@ -39,60 +39,7 @@ const BehaviorResolver kNoHier = [](const std::string&) -> const Dfg* {
   return nullptr;
 };
 
-/// Sets the replay mode for one scope; restores the previous mode and
-/// drops the shared eval cache on both transitions (both backends store
-/// results under the same key, so a stale cache would mask divergence).
-class ReplayModeScope {
- public:
-  explicit ReplayModeScope(ReplayMode m) : prev_(replay_mode()) {
-    eval::EvalEngine::instance().clear();
-    set_replay_mode(m);
-  }
-  ~ReplayModeScope() {
-    eval::EvalEngine::instance().clear();
-    set_replay_mode(prev_);
-  }
-
- private:
-  ReplayMode prev_;
-};
-
-/// Edge matrix of `dfg` computed fresh (cache dropped first) under `m`.
-EdgeMatrix matrix_under(ReplayMode m, const Dfg& dfg,
-                        const BehaviorResolver& res, const Trace& tr) {
-  ReplayModeScope scope(m);
-  return *eval_dfg_edges_shared(dfg, res, tr);
-}
-
-/// Forces a kernel-table ISA for one scope; restores the previous
-/// selection. The eval cache is dropped on both transitions so every
-/// evaluation inside the scope actually runs the forced kernels (a warm
-/// cache would serve bit-identical results without executing anything).
-class ReplayIsaScope {
- public:
-  explicit ReplayIsaScope(ReplayIsa isa) : prev_(replay_isa()) {
-    eval::EvalEngine::instance().clear();
-    set_replay_isa(isa);
-  }
-  ~ReplayIsaScope() {
-    eval::EvalEngine::instance().clear();
-    set_replay_isa(prev_);
-  }
-
- private:
-  ReplayIsa prev_;
-};
-
-/// Every concrete ISA selectable on this build + CPU (always includes
-/// Scalar; Native is a resolution rule, not a table).
-std::vector<ReplayIsa> available_isas() {
-  std::vector<ReplayIsa> out;
-  for (const ReplayIsa isa :
-       {ReplayIsa::Scalar, ReplayIsa::Avx2, ReplayIsa::Neon}) {
-    if (replay_isa_available(isa)) out.push_back(isa);
-  }
-  return out;
-}
+using testing_support::oracle_eval_matrix;
 
 // ---- Packed toggle counting ---------------------------------------------
 
@@ -192,15 +139,15 @@ TEST(ReplayProgramTest, MemoizedByContentHash) {
   EXPECT_NE(p1.get(), p3.get());
 }
 
-// ---- Kernel vs interpreter, small shapes --------------------------------
+// ---- Kernel vs oracle, small shapes -------------------------------------
 
 void expect_same_matrix(const Dfg& d, const BehaviorResolver& res,
                         const Trace& tr) {
-  const EdgeMatrix compiled = matrix_under(ReplayMode::Compiled, d, res, tr);
-  const EdgeMatrix interp = matrix_under(ReplayMode::Interp, d, res, tr);
-  ASSERT_EQ(compiled.num_edges(), interp.num_edges());
-  ASSERT_EQ(compiled.samples(), interp.samples());
-  EXPECT_EQ(compiled, interp) << d.name();
+  const EdgeMatrix compiled = replay_eval_matrix(d, res, tr);
+  const EdgeMatrix oracle = oracle_eval_matrix(d, res, tr);
+  ASSERT_EQ(compiled.num_edges(), oracle.num_edges());
+  ASSERT_EQ(compiled.samples(), oracle.samples());
+  EXPECT_EQ(compiled, oracle) << d.name();
 }
 
 TEST(ReplayEquivalence, PassThroughDfg) {
@@ -219,7 +166,7 @@ TEST(ReplayEquivalence, UnaryNegDfg) {
   d.validate();
   const Trace tr = make_trace(1, 16, 22);
   expect_same_matrix(d, kNoHier, tr);
-  const EdgeMatrix m = matrix_under(ReplayMode::Compiled, d, kNoHier, tr);
+  const EdgeMatrix m = replay_eval_matrix(d, kNoHier, tr);
   for (std::size_t t = 0; t < tr.size(); ++t) {
     EXPECT_EQ(m.at(1, t), eval_op(Op::Neg, tr[t][0], 0));
   }
@@ -227,7 +174,7 @@ TEST(ReplayEquivalence, UnaryNegDfg) {
 
 TEST(ReplayEquivalence, EmptyTrace) {
   const Dfg d = testing_support::random_dfg(5, 10);
-  const EdgeMatrix m = matrix_under(ReplayMode::Compiled, d, kNoHier, Trace{});
+  const EdgeMatrix m = replay_eval_matrix(d, kNoHier, Trace{});
   EXPECT_EQ(m.samples(), 0u);
   EXPECT_EQ(m.num_edges(), static_cast<int>(d.edges().size()));
   expect_same_matrix(d, kNoHier, Trace{});
@@ -245,7 +192,49 @@ TEST(ReplayEquivalence, RandomDfgs) {
   }
 }
 
-// ---- Kernel vs interpreter, bundled benchmarks --------------------------
+TEST(ReplayEquivalence, RandomDfgsAtEveryLength) {
+  // Every trace length 0..257: empty batches, lengths that leave ragged
+  // tails after any unrolled or vectorized loop body, and full bodies.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Dfg d =
+        testing_support::random_dfg(seed, 6 + 4 * static_cast<int>(seed));
+    const Trace full = make_trace(d.num_inputs(), 257, 300 + seed);
+    for (std::size_t T = 0; T <= full.size(); ++T) {
+      const Trace tr(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(T));
+      ASSERT_EQ(replay_eval_matrix(d, kNoHier, tr),
+                oracle_eval_matrix(d, kNoHier, tr))
+          << "seed " << seed << " T " << T;
+    }
+  }
+}
+
+TEST(ReplayEquivalence, HierOutputArityMismatchThrows) {
+  // The call site declares two outputs; the resolver hands back a child
+  // with only one. Both evaluators must refuse instead of reading past
+  // the child's output list.
+  Dfg child("kid", 1, 1);
+  const int ci = child.connect({kPrimaryIn, 0}, {});
+  const int neg = child.add_node(Op::Neg);
+  child.add_consumer(ci, {neg, 0});
+  child.connect({neg, 0}, {{kPrimaryOut, 0}});
+  child.validate();
+
+  Dfg top("top", 1, 2);
+  const int h = top.add_hier_node("kid", 1, 2);
+  top.connect({kPrimaryIn, 0}, {{h, 0}});
+  top.connect({h, 0}, {{kPrimaryOut, 0}});
+  top.connect({h, 1}, {{kPrimaryOut, 1}});
+  top.validate();
+
+  const BehaviorResolver res = [&child](const std::string&) -> const Dfg* {
+    return &child;
+  };
+  const Trace tr = make_trace(1, 4, 29);
+  EXPECT_THROW(eval_dfg(top, res, tr), std::logic_error);
+  EXPECT_THROW(oracle_eval_matrix(top, res, tr), std::logic_error);
+}
+
+// ---- Kernel vs oracle, bundled benchmarks -------------------------------
 
 class ReplayBenchmarkEquivalence
     : public ::testing::TestWithParam<std::string> {};
@@ -266,14 +255,34 @@ TEST_P(ReplayBenchmarkEquivalence, CompiledIsThreadCountInvariant) {
   const Trace tr = make_trace(top.num_inputs(), 33, 98);  // odd: ragged chunks
   const int before = runtime::threads();
   runtime::set_threads(1);
-  const EdgeMatrix m1 = matrix_under(ReplayMode::Compiled, top, res, tr);
+  const EdgeMatrix m1 = replay_eval_matrix(top, res, tr);
   runtime::set_threads(2);
-  const EdgeMatrix m2 = matrix_under(ReplayMode::Compiled, top, res, tr);
+  const EdgeMatrix m2 = replay_eval_matrix(top, res, tr);
   runtime::set_threads(8);
-  const EdgeMatrix m8 = matrix_under(ReplayMode::Compiled, top, res, tr);
+  const EdgeMatrix m8 = replay_eval_matrix(top, res, tr);
   runtime::set_threads(before);
   EXPECT_EQ(m1, m2);
   EXPECT_EQ(m1, m8);
+}
+
+TEST_P(ReplayBenchmarkEquivalence, EveryBehaviorMatchesOracleAtEveryThreadCount) {
+  // Not only top(): every behavior, including leaf children and
+  // equivalence-class variants the search may swap in.
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark(GetParam(), lib);
+  const BehaviorResolver res = design_resolver(bench.design);
+  const int before = runtime::threads();
+  for (const std::string& name : bench.design.behavior_names()) {
+    const Dfg& dfg = bench.design.behavior(name);
+    const Trace tr = make_trace(dfg.num_inputs(), 33, 98);  // odd: ragged chunks
+    const EdgeMatrix golden = oracle_eval_matrix(dfg, res, tr);
+    for (const int threads : {1, 2, 8}) {
+      runtime::set_threads(threads);
+      EXPECT_EQ(replay_eval_matrix(dfg, res, tr), golden)
+          << name << " @ " << threads << " threads";
+    }
+  }
+  runtime::set_threads(before);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ReplayBenchmarkEquivalence,
@@ -302,8 +311,8 @@ struct SynthSnapshot {
   friend bool operator==(const SynthSnapshot&, const SynthSnapshot&) = default;
 };
 
-SynthSnapshot run_synthesis(ReplayMode mode, int threads) {
-  ReplayModeScope scope(mode);
+SynthSnapshot run_synthesis(int threads) {
+  eval::EvalEngine::instance().clear();  // every run replays from scratch
   const int before = runtime::threads();
   runtime::set_threads(threads);
   const Library lib = default_library();
@@ -331,85 +340,14 @@ SynthSnapshot run_synthesis(ReplayMode mode, int threads) {
   return s;
 }
 
-TEST(ReplaySynthesisIdentity, BitIdenticalAcrossModesAndThreadCounts) {
-  const SynthSnapshot golden = run_synthesis(ReplayMode::Interp, 1);
-  for (const ReplayMode mode : {ReplayMode::Compiled, ReplayMode::Interp}) {
-    for (const int threads : {1, 2, 8}) {
-      const SynthSnapshot got = run_synthesis(mode, threads);
-      EXPECT_EQ(got, golden)
-          << (mode == ReplayMode::Compiled ? "compiled" : "interp") << " @ "
-          << threads << " threads";
-    }
+TEST(ReplaySynthesisIdentity, BitIdenticalAcrossThreadCounts) {
+  const SynthSnapshot golden = run_synthesis(1);
+  for (const int threads : {2, 8}) {
+    EXPECT_EQ(run_synthesis(threads), golden) << threads << " threads";
   }
 }
 
-TEST(ReplaySynthesisIdentity, BitIdenticalAcrossIsas) {
-  // Full synthesis (schedule + moves + power estimation + report) must
-  // not move by a single bit when the kernel ISA changes -- the
-  // acceptance gate behind HSYN_REPLAY_ISA.
-  const SynthSnapshot golden = run_synthesis(ReplayMode::Interp, 1);
-  for (const ReplayIsa isa : available_isas()) {
-    ReplayIsaScope scope(isa);
-    for (const int threads : {1, 2, 8}) {
-      const SynthSnapshot got = run_synthesis(ReplayMode::Compiled, threads);
-      EXPECT_EQ(got, golden)
-          << replay_isa_name(isa) << " @ " << threads << " threads";
-    }
-  }
-}
-
-// ---- ISA dispatch plumbing ----------------------------------------------
-
-TEST(ReplayIsaTest, ParseAcceptsOnlyKnownNames) {
-  ReplayIsa isa;
-  EXPECT_TRUE(parse_replay_isa("scalar", &isa));
-  EXPECT_EQ(isa, ReplayIsa::Scalar);
-  EXPECT_TRUE(parse_replay_isa("avx2", &isa));
-  EXPECT_EQ(isa, ReplayIsa::Avx2);
-  EXPECT_TRUE(parse_replay_isa("neon", &isa));
-  EXPECT_EQ(isa, ReplayIsa::Neon);
-  EXPECT_TRUE(parse_replay_isa("native", &isa));
-  EXPECT_EQ(isa, ReplayIsa::Native);
-  EXPECT_FALSE(parse_replay_isa("", &isa));
-  EXPECT_FALSE(parse_replay_isa("sse2", &isa));
-  EXPECT_FALSE(parse_replay_isa("AVX2", &isa));
-}
-
-TEST(ReplayIsaTest, ScalarAndNativeAlwaysAvailable) {
-  EXPECT_TRUE(replay_isa_available(ReplayIsa::Scalar));
-  EXPECT_TRUE(replay_isa_available(ReplayIsa::Native));
-  // The resolved selection is always a concrete table.
-  ReplayIsaScope scope(ReplayIsa::Native);
-  EXPECT_NE(replay_isa(), ReplayIsa::Native);
-  EXPECT_TRUE(replay_isa_available(replay_isa()));
-}
-
-TEST(ReplayIsaTest, NamesRoundTrip) {
-  for (const ReplayIsa isa : {ReplayIsa::Scalar, ReplayIsa::Avx2,
-                              ReplayIsa::Neon, ReplayIsa::Native}) {
-    ReplayIsa parsed;
-    ASSERT_TRUE(parse_replay_isa(replay_isa_name(isa), &parsed));
-    EXPECT_EQ(parsed, isa);
-  }
-}
-
-TEST(ReplayIsaTest, GaugeTracksSelection) {
-  obs::Registry& reg = obs::Registry::instance();
-  for (const ReplayIsa isa : available_isas()) {
-    ReplayIsaScope scope(isa);
-    EXPECT_EQ(reg.gauge("replay.isa").value(),
-              static_cast<double>(static_cast<int>(isa) + 1))
-        << replay_isa_name(isa);
-    const auto sources = reg.poll_sources();
-    const auto it = sources.find("replay-isa");
-    ASSERT_NE(it, sources.end());
-    EXPECT_EQ(it->second.at("available_scalar"), 1u);
-    EXPECT_EQ(it->second.at(std::string("selected_") + replay_isa_name(isa)),
-              1u);
-  }
-}
-
-// ---- Kernel tables: every available ISA vs the scalar reference ---------
+// ---- Per-opcode column loops and toggle counters ------------------------
 
 /// Random 16-bit operand columns; the second also doubles as a shift
 /// count (the kernels mask with & 15, so any int32 is a legal operand).
@@ -422,90 +360,78 @@ random_operands(std::size_t n, std::uint64_t seed) {
   return {std::move(a), std::move(b)};
 }
 
-TEST(ReplayKernelTable, OpKernelsMatchScalarAtOddLengths) {
-  const detail::ReplayKernelTable& ref = detail::scalar_kernel_table();
-  for (const ReplayIsa isa : available_isas()) {
-    if (isa == ReplayIsa::Scalar) continue;
-    ReplayIsaScope scope(isa);
-    const detail::ReplayKernelTable& kt = detail::active_kernel_table();
-    ASSERT_EQ(kt.isa, isa);
-    // Lengths straddle the 4- and 8-lane widths to exercise full vector
-    // bodies, pure tails, and mixed body+tail sweeps.
+/// One-node DFG: output <- op(in0[, in1]).
+Dfg single_op_dfg(Op op) {
+  const int arity = op == Op::Neg ? 1 : 2;
+  Dfg d("op", arity, 1);
+  const int n = d.add_node(op);
+  for (int i = 0; i < arity; ++i) d.connect({kPrimaryIn, i}, {{n, i}});
+  d.connect({n, 0}, {{kPrimaryOut, 0}});
+  d.validate();
+  return d;
+}
+
+TEST(ReplayKernels, OpKernelsMatchEvalOp) {
+  // Each opcode's column loop, driven through a one-node program, must
+  // agree with eval_op element by element -- at lengths that leave
+  // every possible tail after an unrolled or vectorized loop body.
+  for (int op = 0; op < static_cast<int>(Op::Hier); ++op) {
+    const Dfg d = single_op_dfg(static_cast<Op>(op));
+    const int out = d.primary_output_edge(0);
     for (const std::size_t n :
          {0u, 1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 33u, 257u}) {
       const auto [a, b] = random_operands(n, 1000 + n);
-      for (int op = 0; op < detail::kNumOpKernels; ++op) {
-        std::vector<std::int32_t> got(n, -12345), want(n, -12345);
-        kt.op[op](a.data(), b.data(), got.data(), n);
-        ref.op[op](a.data(), b.data(), want.data(), n);
-        EXPECT_EQ(got, want) << kt.name << " op " << op << " len " << n;
+      Trace tr(n);
+      for (std::size_t t = 0; t < n; ++t) {
+        tr[t] = d.num_inputs() == 2 ? Sample{a[t], b[t]} : Sample{a[t]};
+      }
+      const EdgeMatrix m = replay_eval_matrix(d, kNoHier, tr);
+      for (std::size_t t = 0; t < n; ++t) {
+        const std::int32_t want =
+            eval_op(static_cast<Op>(op), a[t], d.num_inputs() == 2 ? b[t] : 0);
+        ASSERT_EQ(m.at(out, t), want) << "op " << op << " len " << n << " at " << t;
       }
     }
   }
 }
 
-TEST(ReplayKernelTable, OpKernelsMatchEvalOp) {
-  // The scalar table itself must agree with the interpreter's eval_op
-  // element by element (the SIMD tables then inherit the property via
-  // OpKernelsMatchScalarAtOddLengths).
-  const detail::ReplayKernelTable& ref = detail::scalar_kernel_table();
-  const std::size_t n = 64;
-  const auto [a, b] = random_operands(n, 77);
-  for (int op = 0; op < detail::kNumOpKernels; ++op) {
-    std::vector<std::int32_t> got(n);
-    ref.op[op](a.data(), b.data(), got.data(), n);
-    for (std::size_t t = 0; t < n; ++t) {
-      EXPECT_EQ(got[t], eval_op(static_cast<Op>(op), a[t], b[t]))
-          << "op " << op << " at " << t;
-    }
-  }
-}
-
-TEST(ReplayKernelTable, ToggleKernelsMatchScalarAtOddLengths) {
-  for (const ReplayIsa isa : available_isas()) {
-    ReplayIsaScope scope(isa);
-    const detail::ReplayKernelTable& kt = detail::active_kernel_table();
-    for (const std::size_t n :
-         {0u, 1u, 2u, 3u, 5u, 8u, 9u, 16u, 17u, 33u, 257u}) {
-      const auto [a, b] = random_operands(n, 2000 + n);
-      int want_tc = 0;
-      for (std::size_t i = 1; i < n; ++i) want_tc += hamming16(a[i - 1], a[i]);
-      EXPECT_EQ(kt.toggle_count(a.data(), n), want_tc)
-          << kt.name << " toggle_count len " << n;
-      int want_hp = 0;
-      for (std::size_t i = 0; i < n; ++i) want_hp += hamming16(a[i], b[i]);
-      EXPECT_EQ(kt.hamming_pair(a.data(), b.data(), n), want_hp)
-          << kt.name << " hamming_pair len " << n;
-    }
+TEST(ReplayKernels, ToggleKernelsMatchScalarAtOddLengths) {
+  for (const std::size_t n :
+       {0u, 1u, 2u, 3u, 5u, 8u, 9u, 16u, 17u, 33u, 257u}) {
+    const auto [a, b] = random_operands(n, 2000 + n);
+    int want_tc = 0;
+    for (std::size_t i = 1; i < n; ++i) want_tc += hamming16(a[i - 1], a[i]);
+    EXPECT_EQ(toggle_count(a.data(), n), want_tc) << "toggle_count len " << n;
+    int want_hp = 0;
+    for (std::size_t i = 0; i < n; ++i) want_hp += hamming16(a[i], b[i]);
+    EXPECT_EQ(hamming_pair(a.data(), b.data(), n), want_hp)
+        << "hamming_pair len " << n;
   }
 }
 
 // ---- Fused toggle gather -------------------------------------------------
 
 TEST(FusedToggle, GatherMatchesBufferedInterleave) {
-  for (const ReplayIsa isa : available_isas()) {
-    ReplayIsaScope scope(isa);
-    Rng rng(31);
-    for (const std::size_t n_cols : {1u, 2u, 3u, 4u, 5u}) {
-      for (const std::size_t T : {0u, 1u, 2u, 3u, 8u, 33u, 257u}) {
-        std::vector<std::vector<std::int32_t>> cols(
-            n_cols, std::vector<std::int32_t>(T));
-        std::vector<const std::int32_t*> ptrs;
-        for (auto& c : cols) {
-          for (auto& x : c) x = mask16(static_cast<std::int64_t>(rng.next()));
-          ptrs.push_back(c.data());
-        }
-        // The reference: materialize the sample-major interleave the
-        // estimator used to build in its arena, count that.
-        std::vector<std::int32_t> buf;
-        buf.reserve(n_cols * T);
-        for (std::size_t t = 0; t < T; ++t) {
-          for (std::size_t c = 0; c < n_cols; ++c) buf.push_back(cols[c][t]);
-        }
-        EXPECT_EQ(toggle_count_gather(ptrs.data(), n_cols, T),
-                  toggle_count(buf.data(), buf.size()))
-            << replay_isa_name(isa) << " n_cols " << n_cols << " T " << T;
+  Rng rng(31);
+  for (const std::size_t n_cols : {1u, 2u, 3u, 4u, 5u}) {
+    for (const std::size_t T : {0u, 1u, 2u, 3u, 8u, 33u, 257u}) {
+      std::vector<std::vector<std::int32_t>> cols(
+          n_cols, std::vector<std::int32_t>(T));
+      std::vector<const std::int32_t*> ptrs;
+      for (auto& c : cols) {
+        for (auto& x : c) x = mask16(static_cast<std::int64_t>(rng.next()));
+        ptrs.push_back(c.data());
       }
+      // The reference: materialize the sample-major interleave the
+      // estimator used to build in its arena, count that.
+      std::vector<std::int32_t> buf;
+      buf.reserve(n_cols * T);
+      for (std::size_t t = 0; t < T; ++t) {
+        for (std::size_t c = 0; c < n_cols; ++c) buf.push_back(cols[c][t]);
+      }
+      EXPECT_EQ(toggle_count_gather(ptrs.data(), n_cols, T),
+                toggle_count(buf.data(), buf.size()))
+          << "n_cols " << n_cols << " T " << T;
     }
   }
 }
@@ -553,68 +479,7 @@ TEST(EdgeMatrixTest, RowsMatchesAt) {
   }
 }
 
-// ---- ISA-forced equivalence: benchmarks, random DFGs, threads ------------
-
-class ReplayIsaEquivalence : public ::testing::TestWithParam<std::string> {};
-
-TEST_P(ReplayIsaEquivalence, MatchesInterpreterAtEveryThreadCount) {
-  const Library lib = default_library();
-  const Benchmark bench = make_benchmark(GetParam(), lib);
-  const Dfg& top = bench.design.top();
-  const BehaviorResolver res = design_resolver(bench.design);
-  const Trace tr = make_trace(top.num_inputs(), 33, 98);  // odd: ragged tails
-  const EdgeMatrix golden = matrix_under(ReplayMode::Interp, top, res, tr);
-  const int before = runtime::threads();
-  for (const ReplayIsa isa : available_isas()) {
-    ReplayIsaScope scope(isa);
-    for (const int threads : {1, 2, 8}) {
-      runtime::set_threads(threads);
-      const EdgeMatrix got = matrix_under(ReplayMode::Compiled, top, res, tr);
-      EXPECT_EQ(got, golden)
-          << replay_isa_name(isa) << " @ " << threads << " threads";
-    }
-  }
-  runtime::set_threads(before);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ReplayIsaEquivalence,
-                         ::testing::Values("avenhaus_cascade", "lat", "dct",
-                                           "iir", "hier_paulin", "test1",
-                                           "fir16", "dct2d"));
-
-TEST(ReplayIsaEquivalenceRandom, RandomDfgsAtOddLengths) {
-  // Trace lengths straddling the vector widths: full bodies, pure tails,
-  // and mixed sweeps through the compiled kernel's chunked columns.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Dfg d =
-        testing_support::random_dfg(seed, 6 + 4 * static_cast<int>(seed));
-    for (const int T : {1, 3, 7, 8, 9, 17, 33}) {
-      const Trace tr = make_trace(d.num_inputs(), T, 300 + seed);
-      const EdgeMatrix golden =
-          matrix_under(ReplayMode::Interp, d, kNoHier, tr);
-      for (const ReplayIsa isa : available_isas()) {
-        ReplayIsaScope scope(isa);
-        const EdgeMatrix got =
-            matrix_under(ReplayMode::Compiled, d, kNoHier, tr);
-        EXPECT_EQ(got, golden)
-            << replay_isa_name(isa) << " seed " << seed << " T " << T;
-      }
-    }
-  }
-}
-
-// ---- Mode plumbing and arena --------------------------------------------
-
-TEST(ReplayModeTest, ParseAcceptsOnlyKnownNames) {
-  ReplayMode m;
-  EXPECT_TRUE(parse_replay_mode("interp", &m));
-  EXPECT_EQ(m, ReplayMode::Interp);
-  EXPECT_TRUE(parse_replay_mode("compiled", &m));
-  EXPECT_EQ(m, ReplayMode::Compiled);
-  EXPECT_FALSE(parse_replay_mode("", &m));
-  EXPECT_FALSE(parse_replay_mode("fast", &m));
-  EXPECT_FALSE(parse_replay_mode("INTERP", &m));
-}
+// ---- Arena ---------------------------------------------------------------
 
 TEST(ArenaTest, FramesNestAndReleaseInLifoOrder) {
   runtime::Arena& a = runtime::Arena::local();
