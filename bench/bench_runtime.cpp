@@ -7,13 +7,14 @@
 // vary between rows.
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "benchmarks/benchmarks.h"
 #include "benchmarks/dfg_build.h"
+#include "obs/metrics.h"
 #include "power/estimator.h"
-#include "runtime/stats.h"
 #include "runtime/thread_pool.h"
 #include "synth/synthesizer.h"
 
@@ -45,6 +46,11 @@ Design make_cascade(int stages) {
   return design;
 }
 
+/// The parallel runtime's counters (the "runtime" metrics source).
+std::map<std::string, std::uint64_t> runtime_counters() {
+  return obs::Registry::instance().poll_sources().at("runtime");
+}
+
 struct Row {
   int threads = 0;
   double wall_s = 0;
@@ -71,7 +77,7 @@ int main() {
   bool deterministic = true;
   for (const int threads : {1, 2, 4, 8}) {
     runtime::set_threads(threads);
-    runtime::reset_stats();
+    const auto before = runtime_counters();
     const auto t0 = std::chrono::steady_clock::now();
     const SynthResult r = synthesize(design, lib, &clib, ts, Objective::Power,
                                      Mode::Hierarchical, opts);
@@ -81,14 +87,15 @@ int main() {
                    r.fail_reason.c_str());
       return 1;
     }
-    const runtime::Stats s = runtime::stats_snapshot();
+    const auto after = runtime_counters();
+    const auto delta = [&](const char* k) { return after.at(k) - before.at(k); };
     Row row;
     row.threads = threads;
     row.wall_s = std::chrono::duration<double>(t1 - t0).count();
     row.area = r.area;
     row.energy = r.energy;
-    row.regions = s.regions + s.inline_regions;
-    row.tasks = s.tasks;
+    row.regions = delta("regions") + delta("inline_regions");
+    row.tasks = delta("tasks");
     if (!rows.empty() &&
         (rows[0].area != row.area || rows[0].energy != row.energy)) {
       deterministic = false;

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "benchmarks/benchmarks.h"
-#include "runtime/stats.h"
+#include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "synth/synthesizer.h"
 #include "util/fmt.h"
@@ -49,7 +49,13 @@ int main(int argc, char** argv) {
   std::printf("\nReading the table: at higher laxity the power objective "
               "scales Vdd down\nand swaps in low-switched-capacitance "
               "modules; the area objective shares\naggressively instead.\n");
-  std::printf("\nparallel runtime (%d thread(s)): %s\n", runtime::threads(),
-              runtime::stats_snapshot().to_string().c_str());
+  const int threads = runtime::threads();
+  const auto sources = obs::Registry::instance().poll_sources();
+  std::printf("\nparallel runtime (%d thread(s)):", threads);
+  for (const auto& [counter, value] : sources.at("runtime")) {
+    std::printf(" %s=%llu", counter.c_str(),
+                static_cast<unsigned long long>(value));
+  }
+  std::printf("\n");
   return 0;
 }

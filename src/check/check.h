@@ -20,9 +20,9 @@
 //   * debug builds run the cheap passes on every synthesis result
 //     (synth/synthesizer.cpp).
 //
-// Per-pass wall time is accumulated into runtime/stats phases
-// ("check:<pass>") and aggregate run/diagnostic counters are exposed as
-// the "check-engine" counter source, mirroring the evaluation caches.
+// Each pass runs under an obs::Span named "check:<pass>" and aggregate
+// run/diagnostic counters are exposed as the "check-engine" metrics
+// source, mirroring the evaluation caches.
 #pragma once
 
 #include <atomic>
@@ -89,18 +89,18 @@ class CheckEngine {
   std::vector<const Pass*> passes() const;
 
   /// Run every applicable pass (optionally the cheap subset) and return
-  /// the merged report. Thread-safe; per-pass timing goes to
-  /// runtime/stats under "check:<pass>".
+  /// the merged report. Thread-safe; each pass runs under an obs::Span
+  /// named "check:<pass>".
   Report run(const CheckContext& cx, bool cheap_only = false) const;
 
   /// The process-wide engine, with its counters registered as the
-  /// "check-engine" runtime/stats source.
+  /// "check-engine" metrics source (obs::Registry).
   static CheckEngine& instance();
 
  private:
   struct Entry {
     std::unique_ptr<Pass> pass;
-    std::string phase;  ///< "check:<name>", stable storage for ScopedPhase
+    std::string phase;  ///< "check:<name>", stable storage for the Span name
     mutable std::atomic<std::uint64_t> runs{0};
   };
   /// Deque: Entry is pinned (atomic member) yet pointers stay stable.
@@ -140,8 +140,7 @@ std::vector<const Dfg*> context_dfgs(const CheckContext& cx);
 /// The move-engine invariant gate: re-verify `dp` with every pass and
 /// throw std::logic_error carrying the full diagnostic text when any
 /// error-severity finding fires. `what` names the offending move in the
-/// exception message. Timing is accumulated under the "check-moves"
-/// runtime/stats phase.
+/// exception message. Runs under an obs::Span named "check-moves".
 void verify_move(const Datapath& dp, const Library& lib, const OpPoint& pt,
                  int deadline, const std::string& what);
 

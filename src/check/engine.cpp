@@ -3,7 +3,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "runtime/stats.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/fmt.h"
 
 namespace hsyn::lint {
@@ -39,7 +40,7 @@ Report CheckEngine::run(const CheckContext& cx, bool cheap_only) const {
   for (const Entry& e : entries_) {
     if (cheap_only && !e.pass->cheap()) continue;
     if (!e.pass->applicable(cx)) continue;
-    runtime::ScopedPhase phase(e.phase.c_str());
+    obs::Span phase(e.phase.c_str());
     rep.set_active_pass(e.pass->name());
     e.pass->run(cx, rep);
     e.runs.fetch_add(1, std::memory_order_relaxed);
@@ -53,7 +54,7 @@ Report CheckEngine::run(const CheckContext& cx, bool cheap_only) const {
 }
 
 void register_check_counters(CheckEngine& e) {
-  runtime::register_counter_source("check-engine", [&e] {
+  obs::Registry::instance().register_source("check-engine", [&e] {
     std::map<std::string, std::uint64_t> m;
     m["runs"] = e.runs_.load(std::memory_order_relaxed);
     m["diagnostics"] = e.diags_.load(std::memory_order_relaxed);
@@ -111,7 +112,7 @@ bool env_verify_rewrites() {
 
 void verify_move(const Datapath& dp, const Library& lib, const OpPoint& pt,
                  int deadline, const std::string& what) {
-  runtime::ScopedPhase phase("check-moves");
+  obs::Span phase("check-moves");
   const Report rep = lint_datapath(dp, lib, pt, deadline);
   if (!rep.ok()) {
     throw std::logic_error(strf(

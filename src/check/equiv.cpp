@@ -1,7 +1,7 @@
 #include "check/equiv.h"
 
 #include "check/dataflow.h"
-#include "runtime/stats.h"
+#include "obs/trace.h"
 #include "util/fmt.h"
 
 namespace hsyn::lint {
@@ -37,7 +37,7 @@ std::string facts_conflict(const EdgeFact& fa, const EdgeFact& fb) {
 EquivResult verify_equivalent(const Dfg& a, const Dfg& b, const Trace& trace,
                               const BehaviorResolver& res_a,
                               const BehaviorResolver& res_b) {
-  runtime::ScopedPhase phase("verify-equivalent");
+  obs::Span phase("verify-equivalent");
   check(a.validated() && b.validated(),
         "verify_equivalent requires validated DFGs");
   EquivResult r;

@@ -201,7 +201,7 @@ class ShardedLruCache {
     return c;
   }
 
-  /// Counters as a name->value map (runtime::register_counter_source).
+  /// Counters as a name->value map (an obs::Registry counter source).
   std::map<std::string, std::uint64_t> counter_map() const {
     const CacheCounters c = counters();
     return {{"hits", c.hits},

@@ -5,10 +5,10 @@
 #include <unordered_map>
 
 #include "obs/job.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "power/replay.h"
 #include "rtl/fingerprint.h"
-#include "runtime/stats.h"
 #include "util/fmt.h"
 
 namespace hsyn::eval {
@@ -141,17 +141,18 @@ EvalEngine::EvalEngine()
       edge_vals_(capacity_.load() / 6),
       programs_(capacity_.load() / 6),
       facts_(capacity_.load() / 6) {
-  runtime::register_counter_source(
+  obs::Registry& reg = obs::Registry::instance();
+  reg.register_source(
       "eval-energy-cache", [this] { return energy_.counter_map(); });
-  runtime::register_counter_source(
+  reg.register_source(
       "eval-area-cache", [this] { return area_.counter_map(); });
-  runtime::register_counter_source(
+  reg.register_source(
       "eval-conn-cache", [this] { return conn_.counter_map(); });
-  runtime::register_counter_source(
+  reg.register_source(
       "eval-edge-vals-cache", [this] { return edge_vals_.counter_map(); });
-  runtime::register_counter_source(
+  reg.register_source(
       "eval-program-cache", [this] { return programs_.counter_map(); });
-  runtime::register_counter_source(
+  reg.register_source(
       "eval-facts-cache", [this] { return facts_.counter_map(); });
 }
 

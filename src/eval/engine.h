@@ -9,7 +9,7 @@
 //     trace_fingerprint, Library::uid) -- never by raw pointers,
 //   * byte-bounded with LRU eviction,
 //   * instrumented (hit/miss/eviction/cross-thread counters surfaced
-//     through runtime/stats counter sources).
+//     as obs::Registry counter sources).
 //
 // Capacity: HSYN_EVAL_CACHE_MB environment variable or set_capacity_mb()
 // (the hsyn CLI exposes --eval-cache-mb). The budget is split evenly

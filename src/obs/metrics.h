@@ -1,11 +1,11 @@
 // Unified metrics registry: typed counters, gauges and histograms with
 // one JSON snapshot exporter, shared by hsyn, hsyn-lint and the benches.
 //
-// The registry subsumes runtime::register_counter_source: that function
-// now forwards here, so every legacy counter source (evaluation caches,
-// template cache, check engine, the parallel runtime itself) shows up in
-// the same --metrics-out snapshot as the typed instruments, and
-// runtime::stats_snapshot() keeps polling them unchanged.
+// Besides the typed instruments it holds polled counter sources: the
+// evaluation caches, the template cache, the check engine, the parallel
+// runtime ("runtime") and the span tracer's per-name totals ("spans")
+// all register here, so one --metrics-out snapshot (and the Prometheus
+// endpoint) carries every counter in the process.
 //
 // Instruments are process-wide, created on first lookup and never
 // destroyed (references stay valid forever -- cache them at call sites
@@ -74,8 +74,7 @@ class Histogram {
   std::atomic<std::uint64_t> sum_{0};
 };
 
-/// Polled producer of a named counter group (the legacy
-/// runtime::register_counter_source shape).
+/// Polled producer of a named counter group: counter name -> value.
 using CounterSourceFn = std::function<std::map<std::string, std::uint64_t>()>;
 
 class Registry {

@@ -10,7 +10,6 @@
 #include "obs/ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/stats.h"
 #include "util/json.h"
 
 namespace hsyn::obs {
@@ -171,10 +170,13 @@ TelemetrySample Telemetry::collect() {
   s.t_ms = steady_ms();
   s.uptime_ms = process_uptime_ms();
 
-  const runtime::Stats rs = runtime::stats_snapshot();
-  s.pool_regions = rs.regions;
-  s.pool_tasks = rs.tasks;
-  for (const auto& [src, counters] : rs.counters) {
+  Registry& reg = Registry::instance();
+  for (const auto& [src, counters] : reg.poll_sources()) {
+    if (src == "runtime") {
+      s.pool_regions = counters.at("regions");
+      s.pool_tasks = counters.at("tasks");
+      continue;
+    }
     if (src.rfind("eval-", 0) != 0) continue;
     for (const auto& [name, value] : counters) {
       if (name == "hits") s.cache_hits += value;
@@ -186,7 +188,6 @@ TelemetrySample Telemetry::collect() {
   s.spans_dropped = Tracer::instance().dropped();
   s.ledger_dropped = MoveLedger::instance().dropped();
 
-  Registry& reg = Registry::instance();
   s.rewrites_refuted = reg.counter("synth.rewrites_refuted").value();
   // Keep the dropped-record gauges current so a --metrics-out snapshot
   // carries the accounting even when nobody reads the ring.

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <unordered_map>
 
+#include "obs/metrics.h"
 #include "util/json.h"
 
 namespace hsyn::obs {
@@ -24,30 +28,38 @@ std::uint64_t now_ns() {
 namespace {
 
 /// Spans kept per thread before the ring wraps. 1<<16 spans x 32 bytes
-/// = 2 MB per recording thread; a full synthesis run of the built-in
-/// benchmarks fits with room to spare.
+/// = 2 MB per recording thread. Long runs (dct2d with templates) wrap;
+/// the per-name totals still count every span.
 constexpr std::size_t kRingCapacity = std::size_t{1} << 16;
+
+/// Per-name accumulation of closed spans (see the header comment).
+struct SpanTotals {
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t self_ns = 0;
+};
 
 struct ThreadRing {
   std::uint32_t tid = 0;
-  /// Guards ring contents against snapshot/reset; the owning thread's
-  /// append takes it too, but it is per-thread and therefore
+  /// Guards ring contents and totals against snapshot/reset; the owning
+  /// thread's append takes it too, but it is per-thread and therefore
   /// uncontended on the hot path.
   mutable std::mutex mu;
   std::vector<SpanEvent> ring;
   std::size_t next = 0;      ///< wrap position
   std::uint64_t total = 0;   ///< spans ever recorded
-  std::uint32_t depth = 0;   ///< current nesting depth (owner thread only)
+  /// Keyed by name pointer (cheap to hash); merged by string on export.
+  std::unordered_map<const char*, SpanTotals> totals;
 };
 
-struct Registry {
+struct RingRegistry {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadRing>> rings;
   std::uint32_t next_tid = 1;
 };
 
-Registry& registry() {
-  static Registry* r = new Registry();
+RingRegistry& ring_registry() {
+  static RingRegistry* r = new RingRegistry();
   return *r;
 }
 
@@ -57,7 +69,7 @@ ThreadRing& local_ring() {
   // must still include the old workers' spans).
   thread_local std::shared_ptr<ThreadRing> tl = [] {
     auto ring = std::make_shared<ThreadRing>();
-    Registry& r = registry();
+    RingRegistry& r = ring_registry();
     std::lock_guard<std::mutex> lock(r.mu);
     ring->tid = r.next_tid++;
     r.rings.push_back(ring);
@@ -66,7 +78,40 @@ ThreadRing& local_ring() {
   return *tl;
 }
 
+/// The innermost open span on this thread (owner thread only).
+thread_local Span* tl_open = nullptr;
+
+/// Every thread's totals merged by name, as the "spans" source's
+/// "<name>.count" / ".total_us" / ".self_us" counters.
+std::map<std::string, std::uint64_t> span_totals_source() {
+  std::map<std::string, SpanTotals> merged;
+  {
+    RingRegistry& r = ring_registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    for (const auto& ring : r.rings) {
+      std::lock_guard<std::mutex> rl(ring->mu);
+      for (const auto& [name, t] : ring->totals) {
+        SpanTotals& m = merged[name];
+        m.count += t.count;
+        m.total_ns += t.total_ns;
+        m.self_ns += t.self_ns;
+      }
+    }
+  }
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [name, t] : merged) {
+    out[name + ".count"] = t.count;
+    out[name + ".total_us"] = t.total_ns / 1000;
+    out[name + ".self_us"] = t.self_ns / 1000;
+  }
+  return out;
+}
+
 }  // namespace
+
+Tracer::Tracer() {
+  Registry::instance().register_source("spans", span_totals_source);
+}
 
 Tracer& Tracer::instance() {
   static Tracer* t = new Tracer();
@@ -74,7 +119,8 @@ Tracer& Tracer::instance() {
 }
 
 void Tracer::record(const char* name, std::uint64_t begin_ns,
-                    std::uint64_t end_ns, std::uint32_t depth) {
+                    std::uint64_t end_ns, std::uint32_t depth,
+                    std::uint64_t self_ns) {
   ThreadRing& r = local_ring();
   std::lock_guard<std::mutex> lock(r.mu);
   const SpanEvent ev{name, begin_ns, end_ns, r.tid, depth};
@@ -85,38 +131,45 @@ void Tracer::record(const char* name, std::uint64_t begin_ns,
     r.next = (r.next + 1) % kRingCapacity;
   }
   ++r.total;
+  SpanTotals& t = r.totals[name];
+  ++t.count;
+  t.total_ns += end_ns - begin_ns;
+  t.self_ns += self_ns;
 }
 
 void Span::open(const char* name) {
   name_ = name;
-  ThreadRing& r = local_ring();
-  depth_ = r.depth++;
+  parent_ = tl_open;
+  depth_ = parent_ != nullptr ? parent_->depth_ + 1 : 0;
+  tl_open = this;
   begin_ns_ = now_ns();
 }
 
 void Span::close() {
   const std::uint64_t end = now_ns();
-  ThreadRing& r = local_ring();
-  if (r.depth > 0) --r.depth;
+  const std::uint64_t dur = end - begin_ns_;
+  tl_open = parent_;
+  if (parent_ != nullptr) parent_->child_ns_ += dur;
   // Record even if tracing was toggled off mid-span: the span was
-  // opened under an enabled tracer and its depth accounting ran.
-  Tracer::instance().record(name_, begin_ns_, end, depth_);
+  // opened under an enabled tracer and is linked into its parent.
+  Tracer::instance().record(name_, begin_ns_, end, depth_, dur - child_ns_);
 }
 
 void Tracer::reset() {
-  Registry& r = registry();
+  RingRegistry& r = ring_registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (const auto& ring : r.rings) {
     std::lock_guard<std::mutex> rl(ring->mu);
     ring->ring.clear();
     ring->next = 0;
     ring->total = 0;
+    ring->totals.clear();
   }
 }
 
 std::vector<SpanEvent> Tracer::events() const {
   std::vector<SpanEvent> out;
-  Registry& r = registry();
+  RingRegistry& r = ring_registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (const auto& ring : r.rings) {
     std::lock_guard<std::mutex> rl(ring->mu);
@@ -137,7 +190,7 @@ std::vector<SpanEvent> Tracer::events() const {
 
 std::uint64_t Tracer::dropped() const {
   std::uint64_t d = 0;
-  Registry& r = registry();
+  RingRegistry& r = ring_registry();
   std::lock_guard<std::mutex> lock(r.mu);
   for (const auto& ring : r.rings) {
     std::lock_guard<std::mutex> rl(ring->mu);

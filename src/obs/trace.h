@@ -1,11 +1,12 @@
-// Low-overhead span tracer (Chrome trace-event JSON / Perfetto).
+// Low-overhead span tracer (Chrome trace-event JSON / Perfetto) and
+// the process's only scope timer.
 //
 // Every instrumented scope -- synthesis phases, individual move
 // evaluations, trace replays, cache fills, check passes -- opens an
 // obs::Span. When tracing is disabled (the default) a Span costs one
 // relaxed atomic load and nothing else; when enabled it costs two
 // steady_clock reads plus one append into the calling thread's ring
-// buffer. No lock is ever taken on the hot path, and recorded
+// buffer under that thread's own (uncontended) mutex. Recorded
 // timestamps never feed back into any decision, so synthesis results
 // are bit-identical with tracing on or off at any thread count.
 //
@@ -19,6 +20,14 @@
 //                    "ts":12.3,"dur":4.5}, ...]}
 //
 // loadable directly in Perfetto (ui.perfetto.dev) or chrome://tracing.
+//
+// Per-name totals never drop: every span close also adds to a
+// per-thread table keyed by span name -- closes, inclusive ns, and self
+// ns (inclusive minus the spans nested inside it on the same thread).
+// The merged table is the "spans" metrics source, with keys
+// "<name>.count", "<name>.total_us" and "<name>.self_us", so it reaches
+// --metrics-out and Prometheus like any other source. On one thread the
+// self times of all spans add up to the wall time of the root spans.
 //
 // Enable via hsyn --trace-out=FILE, the HSYN_TRACE=FILE environment
 // variable, or Tracer::instance().set_enabled(true) in tests.
@@ -65,7 +74,8 @@ class Tracer {
   }
   bool enabled() const { return tracing_enabled(); }
 
-  /// Drop all recorded spans and the dropped-span count.
+  /// Drop all recorded spans, the dropped-span count and the per-name
+  /// totals.
   void reset();
 
   /// Merged snapshot of every thread's ring, ordered by (tid, begin).
@@ -82,12 +92,14 @@ class Tracer {
   /// failure.
   bool write_chrome_json(const std::string& path) const;
 
-  /// Append one completed span for the calling thread (used by Span).
-  void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
-              std::uint32_t depth);
-
  private:
-  Tracer() = default;
+  friend class Span;
+  Tracer();
+
+  /// Append one completed span for the calling thread and add it to the
+  /// thread's per-name totals.
+  void record(const char* name, std::uint64_t begin_ns, std::uint64_t end_ns,
+              std::uint32_t depth, std::uint64_t self_ns);
 };
 
 /// RAII span around an instrumented scope.
@@ -107,7 +119,9 @@ class Span {
   void close();
 
   const char* name_ = nullptr;
+  Span* parent_ = nullptr;        ///< enclosing open span on this thread
   std::uint64_t begin_ns_ = 0;
+  std::uint64_t child_ns_ = 0;    ///< time of closed spans nested inside
   std::uint32_t depth_ = 0;
 };
 

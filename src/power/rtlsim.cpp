@@ -12,10 +12,10 @@
 #include <optional>
 
 #include "eval/engine.h"
+#include "obs/trace.h"
 #include "power/replay.h"
 #include "rtl/cost.h"
 #include "runtime/parallel.h"
-#include "runtime/stats.h"
 #include "util/fmt.h"
 
 namespace hsyn {
@@ -47,11 +47,9 @@ struct ReadEvent {
 
 RtlSimResult simulate_rtl(const Datapath& dp, int b, const Trace& trace,
                           const Library& lib, const OpPoint& pt, bool top_level) {
-  // Account top-level verification wall time (children run nested).
-  std::optional<runtime::ScopedPhase> phase;
-  if (top_level && !runtime::ThreadPool::in_region()) {
-    phase.emplace("rtl-verify");
-  }
+  // Time top-level verification (children run nested).
+  std::optional<obs::Span> phase;
+  if (top_level) phase.emplace("rtl-verify");
   RtlSimResult res;
   const BehaviorImpl& bi = dp.behaviors.at(static_cast<std::size_t>(b));
   check(bi.scheduled, "simulate_rtl: behavior not scheduled");

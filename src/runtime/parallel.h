@@ -24,7 +24,6 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/stats.h"
 #include "runtime/thread_pool.h"
 
 namespace hsyn::runtime {

@@ -1,15 +1,24 @@
 #include "runtime/thread_pool.h"
 
+#include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "obs/job.h"
-#include "runtime/stats.h"
+#include "obs/metrics.h"
 
 namespace hsyn::runtime {
 namespace {
 
 thread_local bool tl_in_region = false;
+
+std::atomic<std::uint64_t> g_regions{0};
+std::atomic<std::uint64_t> g_inline_regions{0};
+std::atomic<std::uint64_t> g_chunks{0};
+std::atomic<std::uint64_t> g_tasks{0};
+std::atomic<std::uint64_t> g_max_region_chunks{0};
 
 struct RegionGuard {
   bool prev;
@@ -120,7 +129,20 @@ void ThreadPool::run(int nchunks, const std::function<void(int)>& fn) {
 namespace {
 
 std::unique_ptr<ThreadPool>& pool_slot() {
-  static std::unique_ptr<ThreadPool> slot;
+  // The first configure-or-use of the global pool also exports its
+  // counters as the "runtime" metrics source.
+  static std::unique_ptr<ThreadPool> slot = [] {
+    obs::Registry::instance().register_source("runtime", [] {
+      return std::map<std::string, std::uint64_t>{
+          {"regions", g_regions.load(std::memory_order_relaxed)},
+          {"inline_regions", g_inline_regions.load(std::memory_order_relaxed)},
+          {"chunks", g_chunks.load(std::memory_order_relaxed)},
+          {"tasks", g_tasks.load(std::memory_order_relaxed)},
+          {"max_region_chunks",
+           g_max_region_chunks.load(std::memory_order_relaxed)}};
+    });
+    return std::unique_ptr<ThreadPool>();
+  }();
   return slot;
 }
 
@@ -154,5 +176,27 @@ ThreadPool& pool() {
 }
 
 int threads() { return pool().threads(); }
+
+namespace detail {
+
+void count_region(int nchunks, bool inline_run) {
+  (inline_run ? g_inline_regions : g_regions)
+      .fetch_add(1, std::memory_order_relaxed);
+  g_chunks.fetch_add(static_cast<std::uint64_t>(nchunks),
+                     std::memory_order_relaxed);
+  std::uint64_t prev = g_max_region_chunks.load(std::memory_order_relaxed);
+  while (prev < static_cast<std::uint64_t>(nchunks) &&
+         !g_max_region_chunks.compare_exchange_weak(
+             prev, static_cast<std::uint64_t>(nchunks),
+             std::memory_order_relaxed)) {
+  }
+}
+
+void count_tasks(int ntasks) {
+  g_tasks.fetch_add(static_cast<std::uint64_t>(ntasks),
+                    std::memory_order_relaxed);
+}
+
+}  // namespace detail
 
 }  // namespace hsyn::runtime

@@ -18,9 +18,15 @@
 // The process-global pool is configured once via set_threads() (CLI
 // --threads, HSYN_THREADS env, or hardware_concurrency) and shared by
 // every parallel helper in runtime/parallel.h.
+//
+// Every region bumps a handful of relaxed atomics, exported as the
+// "runtime" metrics source (obs::Registry) with the keys regions,
+// inline_regions, chunks, tasks and max_region_chunks. The source is
+// registered when the global pool is first configured or used.
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -99,5 +105,12 @@ int threads();
 
 /// The global pool itself (instantiated on first use).
 ThreadPool& pool();
+
+namespace detail {
+// Counter hooks: the pool counts regions and chunks, the parallel
+// helpers count the task indices they cover.
+void count_region(int nchunks, bool inline_run);
+void count_tasks(int ntasks);
+}  // namespace detail
 
 }  // namespace hsyn::runtime

@@ -9,7 +9,6 @@
 #include "power/estimator.h"
 #include "power/replay.h"
 #include "rtl/cost.h"
-#include "runtime/stats.h"
 #include "sched/scheduler.h"
 #include "util/fmt.h"
 
@@ -17,7 +16,7 @@ namespace hsyn {
 namespace {
 
 // Aggregate TemplateCache counters across every instance (a synthesis
-// run creates one per SynthContext chain), polled by runtime/stats.
+// run creates one per SynthContext chain), polled as a metrics source.
 std::atomic<std::uint64_t> g_tmpl_hits{0};
 std::atomic<std::uint64_t> g_tmpl_misses{0};
 std::atomic<std::uint64_t> g_tmpl_insertions{0};
@@ -26,7 +25,7 @@ std::atomic<std::uint64_t> g_tmpl_entries{0};
 
 void register_template_cache_stats() {
   static const bool once = [] {
-    runtime::register_counter_source("template-cache", [] {
+    obs::Registry::instance().register_source("template-cache", [] {
       return std::map<std::string, std::uint64_t>{
           {"hits", g_tmpl_hits.load(std::memory_order_relaxed)},
           {"misses", g_tmpl_misses.load(std::memory_order_relaxed)},

@@ -117,8 +117,8 @@ struct SynthOptions {
 /// (runtime/parallel.h) and workers may instantiate concurrently.
 /// Bounded (LRU over instantiations) and instrumented: aggregate
 /// hit/miss/eviction/entry counters over every instance are reported
-/// through runtime/stats as the "template-cache" counter source, so they
-/// show up in any stats_snapshot() printout (e.g. filter_explorer's).
+/// as the "template-cache" metrics source (obs::Registry), so they show
+/// up in --metrics-out.
 class TemplateCache {
  public:
   TemplateCache();

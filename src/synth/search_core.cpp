@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -17,7 +16,6 @@
 #include "power/estimator.h"
 #include "rtl/cost.h"
 #include "runtime/cancel.h"
-#include "runtime/stats.h"
 #include "runtime/task_rng.h"
 #include "runtime/thread_pool.h"
 #include "sched/scheduler.h"
@@ -81,7 +79,7 @@ void fill_metrics(SynthResult& r, const Library& lib, const Trace& trace) {
 /// per genuinely rewritten DFG.
 bool rewrite_verified(const Datapath& before, const Move& m,
                       const SynthContext& cx, std::string* why) {
-  runtime::ScopedPhase phase("verify-rewrites");
+  obs::Span phase("verify-rewrites");
   const Datapath& after = m.result;
   const std::size_t n =
       std::min(before.children.size(), after.children.size());
@@ -205,11 +203,10 @@ Datapath search_improve(Datapath dp, const SynthContext& cx,
       if (cx.opts.cancel && at_search_top()) {
         cx.opts.cancel->throw_if_cancelled();
       }
-      // Wall time of move selection (the dominant, parallelized cost);
-      // only the outermost improvement loop is accounted -- move B's
-      // nested improve() runs inside a region and is skipped.
-      std::optional<runtime::ScopedPhase> phase;
-      if (!runtime::ThreadPool::in_region()) phase.emplace("move-select");
+      // Wall time of move selection (the dominant, parallelized cost).
+      // Move B's nested improve() opens its own move-select spans; self
+      // time keeps the nesting from counting twice.
+      obs::Span phase("move-select");
       // Full module resynthesis (move B) is the costliest generator; try
       // it early in the pass where it matters most, then fall back to
       // the cheap selection-only form.

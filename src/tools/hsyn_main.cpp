@@ -478,8 +478,10 @@ bool flush_obs(const Args& args, const std::string& trace_out) {
     }
   }
   // Dropped-record accounting: surface any span/ledger loss both in the
-  // metrics snapshot (gauges) and as a one-line warning, so a truncated
-  // export is never mistaken for a complete one.
+  // metrics snapshot (gauges) and as a warning, so a truncated export is
+  // never mistaken for a complete one. Ring overflow loses trace-file
+  // events only: the per-name span totals (the "spans" source) count
+  // every span.
   const std::uint64_t spans_dropped = obs::Tracer::instance().dropped();
   const std::uint64_t ledger_dropped = obs::MoveLedger::instance().dropped();
   obs::Registry::instance().gauge("obs.spans_dropped").set(
@@ -487,18 +489,24 @@ bool flush_obs(const Args& args, const std::string& trace_out) {
   obs::Registry::instance().gauge("obs.ledger_dropped").set(
       static_cast<double>(ledger_dropped));
   if (!args.metrics_out.empty()) {
-    // runtime counters reach the snapshot through the sources the
-    // runtime registered in the obs registry (see runtime/stats.cpp).
+    // Runtime counters and span totals reach the snapshot as registry
+    // sources ("runtime", "spans").
     if (!obs::Registry::instance().write_json(args.metrics_out)) {
       std::fprintf(stderr, "cannot write %s\n", args.metrics_out.c_str());
       ok = false;
     }
   }
-  if (spans_dropped != 0 || ledger_dropped != 0) {
+  if (spans_dropped != 0) {
     std::fprintf(stderr,
-                 "hsyn: warning: observability buffers overflowed "
-                 "(%llu span(s), %llu move record(s) dropped)\n",
-                 static_cast<unsigned long long>(spans_dropped),
+                 "hsyn: warning: the span ring overflowed: the --trace-out "
+                 "file is missing %llu span(s); the per-name span totals in "
+                 "--metrics-out are complete\n",
+                 static_cast<unsigned long long>(spans_dropped));
+  }
+  if (ledger_dropped != 0) {
+    std::fprintf(stderr,
+                 "hsyn: warning: the move ledger overflowed (%llu move "
+                 "record(s) dropped from --move-log)\n",
                  static_cast<unsigned long long>(ledger_dropped));
   }
   // The telemetry ring outlives the sampler thread: stop it (idempotent;

@@ -246,44 +246,68 @@ void section_accept_rate(const std::vector<JsonValue>& moves,
   os << "\n\n";
 }
 
-void section_phases(const JsonValue& trace, std::ostream& os) {
+/// Per-name span totals from the metrics snapshot's "spans" source
+/// ("<name>.count", "<name>.total_us", "<name>.self_us"). They count
+/// every span, including those the trace ring dropped. Rows rank by self
+/// time and shares divide by the sum of self times, so nested spans are
+/// not counted twice and the shares add up to 100%.
+void section_phases(const JsonValue& metrics, std::ostream& os) {
   os << "## Wall-clock by phase\n\n";
-  const JsonValue* evs = trace.get("traceEvents");
-  if (!evs || !evs->is_array() || evs->items().empty()) {
-    os << "Trace has no span events.\n\n";
-    return;
-  }
+  const JsonValue* sources = metrics.get("sources");
+  const JsonValue* spans = sources ? sources->get("spans") : nullptr;
   struct Agg {
-    double us = 0;
     std::uint64_t count = 0;
+    double total_us = 0;
+    double self_us = 0;
   };
   std::map<std::string, Agg> by_name;
-  double total_us = 0;
-  for (const JsonValue& e : evs->items()) {
-    const double dur = e.num_or("dur", 0);
-    Agg& a = by_name[e.str_or("name", "?")];
-    a.us += dur;
-    a.count += 1;
-    total_us += dur;
+  if (spans && spans->is_object()) {
+    for (const auto& [key, v] : spans->members()) {
+      const std::size_t dot = key.rfind('.');
+      if (dot == std::string::npos) continue;
+      Agg& a = by_name[key.substr(0, dot)];
+      const std::string field = key.substr(dot + 1);
+      if (field == "count") a.count = static_cast<std::uint64_t>(v.as_number());
+      else if (field == "total_us") a.total_us = v.as_number();
+      else if (field == "self_us") a.self_us = v.as_number();
+    }
+  }
+  if (by_name.empty()) {
+    os << "Metrics snapshot has no span totals (they are collected only "
+          "when the run traces, e.g. with --trace-out).\n\n";
+    return;
+  }
+  Agg all;
+  for (const auto& [name, a] : by_name) {
+    all.count += a.count;
+    all.self_us += a.self_us;
   }
   std::vector<std::pair<std::string, Agg>> rows(by_name.begin(),
                                                 by_name.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-    return a.second.us > b.second.us;
+    return a.second.self_us > b.second.self_us;
   });
-  os << "| phase | spans | total ms | share |\n";
-  os << "|---|---:|---:|---:|\n";
+  os << "| phase | spans | self ms | total ms | self share |\n";
+  os << "|---|---:|---:|---:|---:|\n";
   const std::size_t top = std::min<std::size_t>(15, rows.size());
   for (std::size_t i = 0; i < top; ++i) {
-    os << "| " << rows[i].first << " | " << rows[i].second.count << " | "
-       << fmt(rows[i].second.us / 1000.0) << " | "
-       << pct(rows[i].second.us, total_us) << " |\n";
+    const Agg& a = rows[i].second;
+    os << "| " << rows[i].first << " | " << a.count << " | "
+       << fmt(a.self_us / 1000.0) << " | " << fmt(a.total_us / 1000.0)
+       << " | " << pct(a.self_us, all.self_us) << " |\n";
   }
   if (rows.size() > top) {
-    os << "| (" << (rows.size() - top) << " more) | | | |\n";
+    Agg rest;
+    for (std::size_t i = top; i < rows.size(); ++i) {
+      rest.count += rows[i].second.count;
+      rest.self_us += rows[i].second.self_us;
+    }
+    os << "| (" << (rows.size() - top) << " more) | " << rest.count << " | "
+       << fmt(rest.self_us / 1000.0) << " | | "
+       << pct(rest.self_us, all.self_us) << " |\n";
   }
-  os << "| **all spans** | " << evs->items().size() << " | "
-     << fmt(total_us / 1000.0) << " | 100.0% |\n\n";
+  os << "| **all spans** | " << all.count << " | "
+     << fmt(all.self_us / 1000.0) << " | | 100.0% |\n\n";
 }
 
 void section_cache(const std::vector<JsonValue>& samples,
@@ -392,7 +416,12 @@ void section_dropped(const JsonValue* trace,
   os << "**Warning: the observability buffers overflowed.** " << spans
      << " span(s) and " << ledger
      << " move record(s) were dropped; the trace/move-log files are "
-        "incomplete.\n\n";
+        "incomplete.";
+  if (spans != 0) {
+    os << " The phase table reads the per-name span totals, which count "
+          "every span.";
+  }
+  os << "\n\n";
 }
 
 void section_metrics(const JsonValue& metrics, std::ostream& os) {
@@ -515,7 +544,7 @@ int main(int argc, char** argv) {
     section_convergence(moves, os);
     section_accept_rate(moves, os);
   }
-  if (trace) section_phases(*trace, os);
+  if (metrics) section_phases(*metrics, os);
   if (!args->telemetry.empty() || metrics) {
     section_cache(samples, metrics ? &*metrics : nullptr, os);
   }

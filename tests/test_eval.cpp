@@ -16,11 +16,11 @@
 #include "benchmarks/benchmarks.h"
 #include "eval/cache.h"
 #include "eval/engine.h"
+#include "obs/metrics.h"
 #include "power/estimator.h"
 #include "power/replay.h"
 #include "power/trace.h"
 #include "rtl/cost.h"
-#include "runtime/stats.h"
 #include "sched/scheduler.h"
 #include "synth/initial.h"
 #include "synth/moves.h"
@@ -363,19 +363,18 @@ TEST(TemplateCache, BoundedWithLruEviction) {
   EXPECT_FALSE(tc.get("k7").has_value());
 }
 
-// ---- runtime/stats integration ------------------------------------------
+// ---- metrics-registry integration ---------------------------------------
 
 TEST(RuntimeStats, EvalCacheCountersAppearInSnapshot) {
   eval::EvalEngine::instance();  // ensure the sources are registered
   TemplateCache ensure_registered;
   (void)ensure_registered;
-  const runtime::Stats s = runtime::stats_snapshot();
+  const auto sources = obs::Registry::instance().poll_sources();
   for (const char* src :
        {"eval-energy-cache", "eval-area-cache", "eval-conn-cache",
         "eval-edge-vals-cache", "template-cache"}) {
-    ASSERT_TRUE(s.counters.count(src)) << src;
-    EXPECT_TRUE(s.counters.at(src).count("hits")) << src;
-    EXPECT_NE(s.to_string().find(src), std::string::npos) << src;
+    ASSERT_TRUE(sources.count(src)) << src;
+    EXPECT_TRUE(sources.at(src).count("hits")) << src;
   }
 }
 

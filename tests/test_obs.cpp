@@ -1,11 +1,14 @@
 // Observability layer (src/obs/) and the shared JSON writer (util/json):
 //   * JsonWriter escaping / validity, json_valid as a syntax oracle,
 //   * span tracer: well-formed Chrome trace JSON, correct nesting,
+//     per-name totals that survive ring overflow and add up,
 //   * metrics registry: counters, gauges, histogram bucketing, snapshot,
 //   * move ledger: merged output bit-identical at 1/2/8 threads,
 //   * synthesis results bit-identical with tracing on vs off.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <thread>
@@ -83,12 +86,27 @@ TEST(Json, ValidatorRejectsBrokenSyntax) {
 
 // ---- span tracer ---------------------------------------------------------
 
+/// The tracer's per-name totals, read like any other metrics source.
+std::map<std::string, std::uint64_t> span_totals() {
+  const auto sources = obs::Registry::instance().poll_sources();
+  const auto it = sources.find("spans");
+  return it == sources.end() ? std::map<std::string, std::uint64_t>{}
+                             : it->second;
+}
+
+void spin_for(std::chrono::microseconds d) {
+  const auto until = std::chrono::steady_clock::now() + d;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
 TEST(Trace, DisabledRecordsNothing) {
   obs::Tracer& tr = obs::Tracer::instance();
   tr.set_enabled(false);
   tr.reset();
   { obs::Span s("never-recorded"); }
   EXPECT_TRUE(tr.events().empty());
+  EXPECT_TRUE(span_totals().empty());
 }
 
 TEST(Trace, CapturesNestedSpansWithDepths) {
@@ -153,6 +171,73 @@ TEST(Trace, MultiThreadSpansCarryDistinctTids) {
   ASSERT_EQ(evs.size(), 2u);
   EXPECT_NE(evs[0].tid, evs[1].tid);
   tr.reset();
+}
+
+TEST(Trace, TotalsSurviveRingOverflow) {
+  constexpr std::uint64_t kSpans = 70000;
+  constexpr std::uint64_t kRing = std::uint64_t{1} << 16;
+  obs::Tracer& tr = obs::Tracer::instance();
+  tr.reset();
+  tr.set_enabled(true);
+  for (std::uint64_t i = 0; i < kSpans; ++i) obs::Span s("overflow-span");
+  tr.set_enabled(false);
+  EXPECT_EQ(tr.dropped(), kSpans - kRing);
+  EXPECT_EQ(tr.events().size(), kRing);
+  EXPECT_EQ(span_totals()["overflow-span.count"], kSpans);
+  tr.reset();
+  EXPECT_TRUE(span_totals().empty());
+}
+
+TEST(Trace, SelfTimeExcludesNestedSpans) {
+  obs::Tracer& tr = obs::Tracer::instance();
+  tr.reset();
+  tr.set_enabled(true);
+  {
+    obs::Span a("self-a");
+    spin_for(std::chrono::microseconds(2000));
+    {
+      obs::Span b("self-b");
+      spin_for(std::chrono::microseconds(3000));
+    }
+    spin_for(std::chrono::microseconds(1000));
+  }
+  tr.set_enabled(false);
+  auto t = span_totals();
+  tr.reset();
+  EXPECT_EQ(t["self-a.count"], 1u);
+  EXPECT_EQ(t["self-b.count"], 1u);
+  EXPECT_GE(t["self-b.self_us"], 3000u);
+  EXPECT_GE(t["self-a.self_us"], 3000u);
+  EXPECT_EQ(t["self-b.self_us"], t["self-b.total_us"]);
+  // Exported in whole microseconds: each truncation loses < 1 us.
+  const std::uint64_t sum = t["self-a.self_us"] + t["self-b.self_us"];
+  EXPECT_LE(sum, t["self-a.total_us"]);
+  EXPECT_GE(sum + 1, t["self-a.total_us"]);
+}
+
+TEST(Trace, TotalsMergeAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 250;
+  obs::Tracer& tr = obs::Tracer::instance();
+  tr.reset();
+  tr.set_enabled(true);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) {
+        obs::Span outer("merge-outer");
+        obs::Span inner("merge-inner");
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  tr.set_enabled(false);
+  auto t = span_totals();
+  tr.reset();
+  EXPECT_EQ(t["merge-outer.count"], std::uint64_t{kThreads * kPerThread});
+  EXPECT_EQ(t["merge-inner.count"], std::uint64_t{kThreads * kPerThread});
+  EXPECT_LE(t["merge-outer.self_us"], t["merge-outer.total_us"]);
+  EXPECT_LE(t["merge-inner.total_us"], t["merge-outer.total_us"]);
 }
 
 // ---- metrics registry ----------------------------------------------------
@@ -295,6 +380,41 @@ TEST(Ledger, RecordsAreWellFormedAndSummaryAddsUp) {
             recs.size() + 1);
   led.reset();
   runtime::set_threads(0);
+}
+
+TEST(Trace, SelfTimesAddUpToSynthesizeAtOneThread) {
+  // One thread: every span nests under "synthesize", so the self times
+  // of all names partition its wall time.
+  runtime::set_threads(1);
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark("test1", lib);
+  const double ts = 2.2 * min_sample_period_ns(bench.design, lib);
+  obs::Tracer& tr = obs::Tracer::instance();
+  tr.reset();
+  tr.set_enabled(true);
+  const SynthResult r = synthesize(bench.design, lib, &bench.clib, ts,
+                                   Objective::Power, Mode::Hierarchical, {});
+  tr.set_enabled(false);
+  ASSERT_TRUE(r.ok) << r.fail_reason;
+  auto t = span_totals();
+  tr.reset();
+  runtime::set_threads(0);
+  ASSERT_EQ(t["synthesize.count"], 1u);
+  const std::uint64_t wall = t["synthesize.total_us"];
+  std::uint64_t self_sum = 0;
+  std::uint64_t names = 0;
+  for (const auto& [key, v] : t) {
+    const std::string suffix = ".self_us";
+    if (key.size() > suffix.size() &&
+        key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      self_sum += v;
+      ++names;
+    }
+  }
+  EXPECT_GT(names, 3u);
+  EXPECT_LE(self_sum, wall + wall / 100);
+  // Each name's microsecond truncation loses < 1 us.
+  EXPECT_GE(self_sum + names, wall);
 }
 
 TEST(Obs, SynthesisBitIdenticalWithTracingOnAndOff) {

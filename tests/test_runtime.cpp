@@ -12,10 +12,10 @@
 
 #include "benchmarks/benchmarks.h"
 #include "library/library.h"
+#include "obs/metrics.h"
 #include "random_dfg.h"
 #include "rtl/netlist.h"
 #include "runtime/parallel.h"
-#include "runtime/stats.h"
 #include "runtime/task_rng.h"
 #include "runtime/thread_pool.h"
 #include "synth/synthesizer.h"
@@ -130,17 +130,15 @@ TEST(ThreadPool, WorkerExceptionsPropagateLowestChunkFirst) {
 
 TEST(RuntimeStats, CountsTasksAndRegions) {
   runtime::set_threads(4);
-  runtime::reset_stats();
+  const obs::Registry& reg = obs::Registry::instance();
+  const auto before = reg.poll_sources().at("runtime");
   runtime::parallel_for(100, [](int) {});
-  {
-    runtime::ScopedPhase phase("test-phase");
-  }
-  const runtime::Stats s = runtime::stats_snapshot();
-  EXPECT_EQ(s.tasks, 100u);
-  EXPECT_GE(s.regions + s.inline_regions, 1u);
-  EXPECT_GE(s.max_region_chunks, 1u);
-  EXPECT_TRUE(s.phase_seconds.count("test-phase"));
-  EXPECT_FALSE(s.to_string().empty());
+  const auto after = reg.poll_sources().at("runtime");
+  const auto delta = [&](const char* k) { return after.at(k) - before.at(k); };
+  EXPECT_EQ(delta("tasks"), 100u);
+  EXPECT_GE(delta("regions") + delta("inline_regions"), 1u);
+  EXPECT_GE(delta("chunks"), 1u);
+  EXPECT_GE(after.at("max_region_chunks"), 1u);
 }
 
 TEST(Synthesis, BitIdenticalAcrossThreadCounts) {
