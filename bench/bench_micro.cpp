@@ -60,8 +60,9 @@ void BM_DeriveChildConstraint(benchmark::State& state) {
   static Prepared p("iir");
   const int deadline = p.dp.behaviors[0].makespan + 8;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        derive_child_constraint(p.dp, 0, 0, p.lib, kRef, deadline));
+    benchmark::DoNotOptimize(derive_child_constraint(
+        p.dp, 0, 0, alap_starts(p.dp, 0, p.lib, kRef, deadline), p.lib, kRef,
+        deadline));
   }
 }
 BENCHMARK(BM_DeriveChildConstraint);

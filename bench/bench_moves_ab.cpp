@@ -43,10 +43,11 @@ int main() {
               sr.makespan);
 
   std::printf("-- constraint derivation (Fig. 5 middle box) --\n");
+  const std::vector<int> alap = alap_starts(dp, 0, lib, pt, cx.deadline);
   for (std::size_t c = 0; c < dp.children.size(); ++c) {
     const Profile p = dp.children[c].impl->profile(0, lib, pt);
-    const auto mc =
-        derive_child_constraint(dp, 0, static_cast<int>(c), lib, pt, cx.deadline);
+    const auto mc = derive_child_constraint(dp, 0, static_cast<int>(c), alap, lib,
+                                            pt, cx.deadline);
     if (!mc) continue;
     std::string cur, rel;
     for (const int o : p.out) cur += strf("%d ", o);

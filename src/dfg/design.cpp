@@ -11,7 +11,7 @@ void Design::add_behavior(Dfg dfg) {
   if (!dfg.validated()) dfg.validate();
   const std::string name = dfg.name();
   check(!name.empty(), "behavior must be named");
-  check(behaviors_.count(name) == 0, "duplicate behavior " + name);
+  if (behaviors_.count(name) != 0) check_failed("duplicate behavior " + name);
   behaviors_.emplace(name, std::move(dfg));
   order_.push_back(name);
   eq_parent_[name] = name;
@@ -31,9 +31,10 @@ void Design::declare_equivalent(const std::string& a, const std::string& b) {
   check(has_behavior(a) && has_behavior(b), "equivalence on unknown behavior");
   const Dfg& da = behavior(a);
   const Dfg& db = behavior(b);
-  check(da.num_inputs() == db.num_inputs() && da.num_outputs() == db.num_outputs(),
-        strf("equivalent behaviors %s/%s must share I/O signature", a.c_str(),
-             b.c_str()));
+  if (da.num_inputs() != db.num_inputs() || da.num_outputs() != db.num_outputs()) {
+    check_failed(strf("equivalent behaviors %s/%s must share I/O signature",
+                      a.c_str(), b.c_str()));
+  }
   const std::string ra = find_root(eq_parent_, a);
   const std::string rb = find_root(eq_parent_, b);
   if (ra != rb) eq_parent_[ra] = rb;
@@ -41,18 +42,18 @@ void Design::declare_equivalent(const std::string& a, const std::string& b) {
 
 const Dfg& Design::behavior(const std::string& name) const {
   auto it = behaviors_.find(name);
-  check(it != behaviors_.end(), "unknown behavior " + name);
+  if (it == behaviors_.end()) check_failed("unknown behavior " + name);
   return it->second;
 }
 
 Dfg& Design::behavior_mut(const std::string& name) {
   auto it = behaviors_.find(name);
-  check(it != behaviors_.end(), "unknown behavior " + name);
+  if (it == behaviors_.end()) check_failed("unknown behavior " + name);
   return it->second;
 }
 
 std::vector<std::string> Design::equivalents(const std::string& name) const {
-  check(has_behavior(name), "unknown behavior " + name);
+  if (!has_behavior(name)) check_failed("unknown behavior " + name);
   auto parent = eq_parent_;  // copy: find_root path-compresses
   const std::string root = find_root(parent, name);
   std::vector<std::string> out;
@@ -68,14 +69,16 @@ void Design::validate() const {
   for (const auto& [name, dfg] : behaviors_) {
     for (const Node& n : dfg.nodes()) {
       if (!n.is_hier()) continue;
-      check(has_behavior(n.behavior),
-            strf("behavior %s references unknown child %s", name.c_str(),
-                 n.behavior.c_str()));
+      if (!has_behavior(n.behavior)) {
+        check_failed(strf("behavior %s references unknown child %s", name.c_str(),
+                          n.behavior.c_str()));
+      }
       const Dfg& child = behavior(n.behavior);
-      check(child.num_inputs() == n.num_inputs &&
-                child.num_outputs() == n.num_outputs,
-            strf("behavior %s node %d: port mismatch with child %s", name.c_str(),
-                 n.id, n.behavior.c_str()));
+      if (child.num_inputs() != n.num_inputs ||
+          child.num_outputs() != n.num_outputs) {
+        check_failed(strf("behavior %s node %d: port mismatch with child %s",
+                          name.c_str(), n.id, n.behavior.c_str()));
+      }
     }
   }
   // Non-recursive hierarchy: DFS with on-stack detection.
@@ -83,7 +86,7 @@ void Design::validate() const {
   std::set<std::string> on_stack;
   std::function<void(const std::string&)> dfs = [&](const std::string& name) {
     if (done.count(name)) return;
-    check(on_stack.insert(name).second, "recursive hierarchy at " + name);
+    if (!on_stack.insert(name).second) check_failed("recursive hierarchy at " + name);
     for (const Node& n : behavior(name).nodes()) {
       if (n.is_hier()) dfs(n.behavior);
     }

@@ -1,6 +1,7 @@
 #include "library/library.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <limits>
 
@@ -39,7 +40,38 @@ std::vector<int> Library::types_for(Op op) const {
 }
 
 int Library::cycles(int type_id, const OpPoint& pt) const {
-  return cycles_at(fu(type_id).delay_ns, pt.vdd, pt.clk_ns);
+  // The scheduler asks for latencies millions of times per search, and
+  // cycles_at() costs two std::pow calls. Serve them from a small
+  // per-thread table of whole-library latency vectors, keyed by library
+  // uid and operating point (a mutated library has a fresh uid, so its
+  // entries are never hit again). Entries are filled with cycles_at()
+  // itself, so the values -- and its Vdd/clock checks -- are unchanged.
+  struct Entry {
+    std::uint64_t uid = 0;
+    double vdd = 0;
+    double clk_ns = 0;
+    std::vector<int> cycles;  ///< per type id
+  };
+  static constexpr std::size_t kEntries = 4;
+  thread_local std::array<Entry, kEntries> table;
+  thread_local std::size_t next = 0;  // round-robin victim
+  for (const Entry& e : table) {
+    if (e.uid == uid_ && e.vdd == pt.vdd && e.clk_ns == pt.clk_ns &&
+        e.cycles.size() == fus_.size()) {
+      return e.cycles.at(static_cast<std::size_t>(type_id));
+    }
+  }
+  Entry& e = table[next];
+  next = (next + 1) % kEntries;
+  e.uid = 0;  // invalid until fully filled (cycles_at may throw)
+  e.cycles.resize(fus_.size());
+  for (std::size_t i = 0; i < fus_.size(); ++i) {
+    e.cycles[i] = cycles_at(fus_[i].delay_ns, pt.vdd, pt.clk_ns);
+  }
+  e.uid = uid_;
+  e.vdd = pt.vdd;
+  e.clk_ns = pt.clk_ns;
+  return e.cycles.at(static_cast<std::size_t>(type_id));
 }
 
 int Library::fastest_for(Op op, const OpPoint& pt, bool allow_chained) const {

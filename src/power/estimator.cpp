@@ -255,7 +255,7 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
           const Datapath& child =
               *dp.children[static_cast<std::size_t>(ckey.first)].impl;
           const int cb = child.find_behavior(ckey.second);
-          check(cb >= 0, "energy_of: child lacks behavior " + ckey.second);
+          if (cb < 0) check_failed("energy_of: child lacks behavior " + ckey.second);
           const EnergyBreakdown ce =
               energy_of(child, cb, ctrace, lib, pt, /*top_level=*/false);
           // ce.total() is average per child invocation; ctrace has

@@ -194,7 +194,7 @@ void exec_program(const ReplayProgram& p, const BehaviorResolver& res,
     }
     const ReplayHierCall& h = p.hier_calls[static_cast<std::size_t>(s.a)];
     const Dfg* child = res(h.behavior);
-    check(child != nullptr, "unresolved behavior " + h.behavior);
+    if (child == nullptr) check_failed("unresolved behavior " + h.behavior);
     const auto cp = replay_program_of(*child);
     check(static_cast<int>(h.in_slots.size()) == cp->num_inputs,
           "eval_dfg_edges: input arity mismatch");

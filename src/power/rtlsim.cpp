@@ -94,7 +94,7 @@ RtlSimResult simulate_rtl(const Datapath& dp, int b, const Trace& trace,
       const Datapath& child =
           *dp.children[static_cast<std::size_t>(inv.unit.idx)].impl;
       const int cb = child.find_behavior(n.behavior);
-      check(cb >= 0, "simulate_rtl: child lacks behavior " + n.behavior);
+      if (cb < 0) check_failed("simulate_rtl: child lacks behavior " + n.behavior);
       inv_child[i] = &child;
       inv_child_beh[i] = cb;
       // Resolver hoisted out of the per-sample completion path.

@@ -131,7 +131,7 @@ int Datapath::inv_latency(int b, int i, const Library& lib, const OpPoint& pt) c
   const Datapath& child = *children.at(static_cast<std::size_t>(inv.unit.idx)).impl;
   const Node& n = bi.dfg->node(inv.nodes.front());
   const int cb = child.find_behavior(n.behavior);
-  check(cb >= 0, "child lacks behavior " + n.behavior);
+  if (cb < 0) check_failed("child lacks behavior " + n.behavior);
   return child.busy_cycles(cb);
 }
 
@@ -211,7 +211,7 @@ int Datapath::edge_ready_time(int b, int e, const Library& lib,
     const Datapath& child = *children.at(static_cast<std::size_t>(inv.unit.idx)).impl;
     const Node& n = bi.dfg->node(inv.nodes.front());
     const int cb = child.find_behavior(n.behavior);
-    check(cb >= 0, "child lacks behavior " + n.behavior);
+    if (cb < 0) check_failed("child lacks behavior " + n.behavior);
     const Profile p = child.profile(cb, lib, pt);
     return start + p.out.at(static_cast<std::size_t>(edge.src.port));
   }
@@ -320,13 +320,16 @@ void Datapath::validate(const Library& lib) const {
         check(inv.unit.idx >= 0 && inv.unit.idx < static_cast<int>(fus.size()),
               "fu index out of range");
         const FuType& t = lib.fu(fus[static_cast<std::size_t>(inv.unit.idx)].type);
-        check(static_cast<int>(inv.nodes.size()) <= t.chain_depth,
-              "chain longer than unit depth on " + t.name);
+        if (static_cast<int>(inv.nodes.size()) > t.chain_depth) {
+          check_failed("chain longer than unit depth on " + t.name);
+        }
         for (const int nid : inv.nodes) {
           const Node& n = bi.dfg->node(nid);
           check(!n.is_hier(), "hier node bound to simple unit");
-          check(t.supports(n.op),
+          if (!t.supports(n.op)) {
+            check_failed(
                 strf("unit %s cannot execute %s", t.name.c_str(), op_name(n.op)));
+          }
         }
         // Chains must be contiguous dependence chains whose intermediate
         // values have no external consumers (they are never latched).
@@ -346,12 +349,15 @@ void Datapath::validate(const Library& lib) const {
         const Node& n = bi.dfg->node(inv.nodes[0]);
         check(n.is_hier(), "operation node bound to child module");
         const Datapath& child = *children[static_cast<std::size_t>(inv.unit.idx)].impl;
-        check(child.find_behavior(n.behavior) >= 0,
-              "child does not implement behavior " + n.behavior);
+        if (child.find_behavior(n.behavior) < 0) {
+          check_failed("child does not implement behavior " + n.behavior);
+        }
       }
     }
     for (std::size_t nid = 0; nid < covered.size(); ++nid) {
-      check(covered[nid] == 1, strf("node %zu covered %d times", nid, covered[nid]));
+      if (covered[nid] != 1) {
+        check_failed(strf("node %zu covered %d times", nid, covered[nid]));
+      }
     }
     // Every non-chain-internal edge must have a register.
     for (const Edge& e : bi.dfg->edges()) {

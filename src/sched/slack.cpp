@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "sched/scheduler.h"
 #include "util/fmt.h"
 
 namespace hsyn {
@@ -47,15 +46,14 @@ int edge_deadline(const Datapath& dp, int b, int e, const std::vector<int>& alap
 
 }  // namespace
 
-std::optional<ModuleConstraint> derive_child_constraint(const Datapath& dp, int b,
-                                                        int child_idx,
-                                                        const Library& lib,
-                                                        const OpPoint& pt,
-                                                        int deadline) {
+std::optional<ModuleConstraint> derive_child_constraint(
+    const Datapath& dp, int b, int child_idx, const std::vector<int>& alap,
+    const Library& lib, const OpPoint& pt, int deadline) {
   const BehaviorImpl& bi = dp.behaviors[static_cast<std::size_t>(b)];
   check(bi.scheduled, "derive_child_constraint: behavior not scheduled");
-  const std::vector<int> alap = alap_starts(dp, b, lib, pt, deadline);
   if (alap.empty()) return std::nullopt;
+  check(alap.size() == bi.invs.size(),
+        "derive_child_constraint: ALAP size mismatch");
 
   std::optional<ModuleConstraint> result;
   for (std::size_t i = 0; i < bi.invs.size(); ++i) {
@@ -113,12 +111,14 @@ std::optional<ModuleConstraint> derive_child_constraint(const Datapath& dp, int 
 }
 
 std::optional<int> derive_fu_latency_budget(const Datapath& dp, int b, int inv,
+                                            const std::vector<int>& alap,
                                             const Library& lib, const OpPoint& pt,
                                             int deadline) {
   const BehaviorImpl& bi = dp.behaviors[static_cast<std::size_t>(b)];
   check(bi.scheduled, "derive_fu_latency_budget: behavior not scheduled");
-  const std::vector<int> alap = alap_starts(dp, b, lib, pt, deadline);
   if (alap.empty()) return std::nullopt;
+  check(alap.size() == bi.invs.size(),
+        "derive_fu_latency_budget: ALAP size mismatch");
 
   const int start = bi.inv_start[static_cast<std::size_t>(inv)];
   int budget = deadline - start;

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "rtl/datapath.h"
 
@@ -29,19 +30,25 @@ struct ModuleConstraint {
   int max_busy = 0;
 };
 
+/// Both derivations read the ALAP starts of behavior `b` against
+/// `deadline`, `alap` = alap_starts(dp, b, lib, pt, deadline) (see
+/// sched/scheduler.h). A move selection computes it once and passes it to
+/// every derivation on the same base; an empty `alap` (ALAP derivation
+/// failed) yields nullopt.
+
 /// Constraint for child unit `child_idx` serving behavior `b` of `dp`,
 /// intersected over all its invocations. Requires `b` scheduled.
-/// nullopt when the instance is unused in `b` or ALAP derivation fails.
-std::optional<ModuleConstraint> derive_child_constraint(const Datapath& dp, int b,
-                                                        int child_idx,
-                                                        const Library& lib,
-                                                        const OpPoint& pt,
-                                                        int deadline);
+/// nullopt when the instance is unused in `b` or `alap` is empty.
+std::optional<ModuleConstraint> derive_child_constraint(
+    const Datapath& dp, int b, int child_idx, const std::vector<int>& alap,
+    const Library& lib, const OpPoint& pt, int deadline);
 
 /// Latency budget in cycles for invocation `inv` of behavior `b` on a
 /// simple unit: the largest latency the invocation could take with the
-/// rest of the design fixed to its ALAP freedoms. nullopt on failure.
+/// rest of the design fixed to its ALAP freedoms. nullopt when `alap` is
+/// empty.
 std::optional<int> derive_fu_latency_budget(const Datapath& dp, int b, int inv,
+                                            const std::vector<int>& alap,
                                             const Library& lib, const OpPoint& pt,
                                             int deadline);
 

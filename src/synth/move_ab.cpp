@@ -3,6 +3,8 @@
 // derivation -> resynthesis.
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <vector>
 
 #include "obs/ledger.h"
 #include "rtl/cost.h"
@@ -52,9 +54,10 @@ std::vector<Target> form_groups(const Datapath& dp, const SynthContext& cx) {
 }
 
 /// Move A on a simple unit: replace its library type by the best
-/// alternative that fits the derived latency budget.
+/// alternative that fits the derived latency budget. `alap` is the base's
+/// alap_starts against the deadline.
 Move replace_fu(const Datapath& dp, int fu_idx, const SynthContext& cx,
-                double cost0) {
+                double cost0, const std::vector<int>& alap) {
   Move best;
   const BehaviorImpl& bi = dp.behaviors[0];
   // Usage of the unit: ops and longest chain.
@@ -66,8 +69,8 @@ Move replace_fu(const Datapath& dp, int fu_idx, const SynthContext& cx,
     if (!(inv.unit == UnitRef{UnitRef::Kind::Fu, fu_idx})) continue;
     max_chain = std::max(max_chain, static_cast<int>(inv.nodes.size()));
     for (const int nid : inv.nodes) ops.insert(bi.dfg->node(nid).op);
-    const auto b = derive_fu_latency_budget(dp, 0, static_cast<int>(i), *cx.lib,
-                                            cx.pt, cx.deadline);
+    const auto b = derive_fu_latency_budget(dp, 0, static_cast<int>(i), alap,
+                                            *cx.lib, cx.pt, cx.deadline);
     if (b) budget = std::min(budget, *b);
   }
   if (ops.empty()) return best;
@@ -252,15 +255,23 @@ Move best_replace_move(const Datapath& dp, const SynthContext& cx) {
   Move best;
   if (!cx.opts.enable_replace && !cx.opts.enable_resynth) return best;
   const double cost0 = cost_of(dp, cx);
+  // Every constraint derivation below reads the same ALAP starts of the
+  // base against the deadline: compute them once, on first use.
+  std::optional<std::vector<int>> alap;
+  const auto base_alap = [&]() -> const std::vector<int>& {
+    if (!alap) alap = alap_starts(dp, 0, *cx.lib, cx.pt, cx.deadline);
+    return *alap;
+  };
   bool resynth_attempted = false;
   for (const Target& tgt : form_groups(dp, cx)) {
     if (tgt.unit.kind == UnitRef::Kind::Fu) {
       if (cx.opts.enable_replace) {
-        best = better_move(best, replace_fu(dp, tgt.unit.idx, cx, cost0));
+        best = better_move(best,
+                           replace_fu(dp, tgt.unit.idx, cx, cost0, base_alap()));
       }
     } else {
-      const auto mc = derive_child_constraint(dp, 0, tgt.unit.idx, *cx.lib,
-                                              cx.pt, cx.deadline);
+      const auto mc = derive_child_constraint(dp, 0, tgt.unit.idx, base_alap(),
+                                              *cx.lib, cx.pt, cx.deadline);
       if (!mc) continue;
       if (cx.opts.enable_replace) {
         best = better_move(best, replace_child(dp, tgt.unit.idx, cx, cost0, *mc));

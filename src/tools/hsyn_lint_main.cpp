@@ -47,8 +47,10 @@ struct Args {
   hsyn::lint::Severity min_severity = hsyn::lint::Severity::Note;
 };
 
-void usage() {
-  std::fprintf(stderr,
+/// Print the usage text to `out` (stderr on usage errors, stdout for
+/// -h/--help).
+void usage(std::FILE* out = stderr) {
+  std::fprintf(out,
                "usage: hsyn-lint [--json] [--library FILE] [--trace FILE]\n"
                "                 [--benchmarks] [--werror]\n"
                "                 [--min-severity note|warning|error]\n"
@@ -122,7 +124,10 @@ int main(int argc, char** argv) {
       if (inline_val) return inline_val->c_str();
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--json") {
+    if (arg == "-h" || arg == "--help") {
+      usage(stdout);
+      return 0;
+    } else if (arg == "--json") {
       a.json = true;
     } else if (arg == "--benchmarks") {
       a.benchmarks = true;

@@ -128,10 +128,13 @@ struct Args {
   int portfolio = 0;
   int portfolio_rounds = 1;  ///< --portfolio-rounds: learning rounds
   std::string strategies;    ///< --strategies SPEC: explicit strategy list
+  bool help = false;         ///< -h/--help: print usage and exit 0
 };
 
-void usage() {
-  std::fprintf(stderr,
+/// Print the usage text to `out` (stderr on usage errors, stdout for
+/// -h/--help).
+void usage(std::FILE* out = stderr) {
+  std::fprintf(out,
                "usage: hsyn (--design FILE | --benchmark NAME) [--objective power|area]\n"
                "            [--mode hier|flat] [--laxity F | --period-ns T]\n"
                "            [--library FILE] [--trace FILE]\n"
@@ -166,7 +169,10 @@ std::optional<Args> parse(int argc, char** argv) {
       if (inline_val) return inline_val->c_str();
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--design") {
+    if (arg == "-h" || arg == "--help") {
+      a.help = true;
+      return a;
+    } else if (arg == "--design") {
       const char* v = next();
       if (!v) return std::nullopt;
       a.design_file = v;
@@ -793,6 +799,10 @@ int main(int argc, char** argv) {
   if (!args) {
     usage();
     return 2;
+  }
+  if (args->help) {
+    usage(stdout);
+    return 0;
   }
   if (args->verbose) hsyn::set_log_level(hsyn::LogLevel::Info);
   try {

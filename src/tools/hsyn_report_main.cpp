@@ -34,10 +34,13 @@ struct Args {
   std::string metrics;
   std::string telemetry;
   std::string out;
+  bool help = false;  ///< -h/--help: print usage and exit 0
 };
 
-void usage() {
-  std::fprintf(stderr,
+/// Print the usage text to `out` (stderr on usage errors, stdout for
+/// -h/--help).
+void usage(std::FILE* out = stderr) {
+  std::fprintf(out,
                "usage: hsyn-report [--trace FILE] [--move-log FILE] "
                "[--metrics FILE]\n"
                "                   [--telemetry FILE] [--out FILE]\n"
@@ -62,7 +65,10 @@ std::optional<Args> parse(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
-    if (arg == "--trace") {
+    if (arg == "-h" || arg == "--help") {
+      a.help = true;
+      return a;
+    } else if (arg == "--trace") {
       if (!(v = next())) return std::nullopt;
       a.trace = v;
     } else if (arg == "--move-log") {
@@ -484,6 +490,10 @@ int main(int argc, char** argv) {
   if (!args) {
     usage();
     return 2;
+  }
+  if (args->help) {
+    usage(stdout);
+    return 0;
   }
 
   std::optional<JsonValue> trace;

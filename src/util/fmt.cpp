@@ -25,8 +25,8 @@ std::string strf(const char* fmt, ...) {
 
 std::string fixed(double v, int prec) { return strf("%.*f", prec, v); }
 
-void check(bool cond, const std::string& msg) {
-  if (!cond) throw std::logic_error("hsyn check failed: " + msg);
+void check_failed(const std::string& msg) {
+  throw std::logic_error("hsyn check failed: " + msg);
 }
 
 }  // namespace hsyn

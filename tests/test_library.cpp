@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "library/library.h"
@@ -61,6 +64,82 @@ TEST(Library, DuplicateNameRejected) {
   EXPECT_THROW(lib.add_fu({.name = "add1", .ops = {Op::Add}, .area = 1,
                            .delay_ns = 1, .cap_sw = 1}),
                std::logic_error);
+}
+
+TEST(Library, CyclesEqualCyclesAtAtEveryOperatingPoint) {
+  // The per-thread latency table serves exactly what cycles_at computes,
+  // for every type at every candidate supply and clock.
+  const Library lib = default_library();
+  int points = 0;
+  for (const double vdd : default_vdds()) {
+    for (const double clk : candidate_clocks(lib.fus(), vdd)) {
+      const OpPoint pt{vdd, clk};
+      for (int t = 0; t < lib.num_fu_types(); ++t) {
+        EXPECT_EQ(lib.cycles(t, pt), cycles_at(lib.fu(t).delay_ns, vdd, clk))
+            << lib.fu(t).name << " at " << vdd << " V, " << clk << " ns";
+      }
+      ++points;
+    }
+  }
+  EXPECT_GT(points, 20);
+}
+
+TEST(Library, CyclesServesTypesAddedAfterUse) {
+  Library lib = default_library();
+  const OpPoint pt{3.3, 15.0};
+  const int add1 = lib.find_fu("add1");
+  const int before = lib.cycles(add1, pt);  // fills the table
+  const int t = lib.add_fu({.name = "slowadd", .ops = {Op::Add}, .area = 5,
+                            .delay_ns = 200, .cap_sw = 1});
+  EXPECT_EQ(lib.cycles(t, pt), cycles_at(200, pt.vdd, pt.clk_ns));
+  EXPECT_EQ(lib.cycles(add1, pt), before);
+  EXPECT_THROW((void)lib.cycles(t + 1, pt), std::out_of_range);
+  // A copy shares the uid and the content; both see every type.
+  const Library copy = lib;
+  EXPECT_EQ(copy.cycles(t, pt), lib.cycles(t, pt));
+}
+
+TEST(Library, CyclesRejectsInvalidOperatingPoints) {
+  const Library lib = default_library();
+  const OpPoint ok{5.0, 20.0};
+  EXPECT_EQ(lib.cycles(0, ok), cycles_at(lib.fu(0).delay_ns, 5.0, 20.0));
+  // Vdd at or below Vt, and non-positive clocks, throw every time -- a
+  // failed fill leaves no entry behind.
+  for (int rep = 0; rep < 2; ++rep) {
+    EXPECT_THROW((void)lib.cycles(0, {kVt, 20.0}), std::logic_error);
+    EXPECT_THROW((void)lib.cycles(0, {0.5, 20.0}), std::logic_error);
+    EXPECT_THROW((void)lib.cycles(0, {5.0, 0.0}), std::logic_error);
+    EXPECT_THROW((void)lib.cycles(0, {5.0, -1.0}), std::logic_error);
+  }
+  EXPECT_EQ(lib.cycles(0, ok), cycles_at(lib.fu(0).delay_ns, 5.0, 20.0));
+}
+
+TEST(Library, CyclesCorrectAcrossThreadsAndOperatingPoints) {
+  // Two threads alternate between two operating points (and visit more
+  // points than a thread's table holds); every value must stay exact.
+  const Library lib = default_library();
+  const std::vector<OpPoint> pts = {{5.0, 20.0}, {2.4, 9.5}, {3.3, 12.0},
+                                    {1.5, 40.0}, {4.0, 7.0}, {2.9, 25.0}};
+  std::vector<std::vector<int>> want(pts.size());
+  for (std::size_t p = 0; p < pts.size(); ++p) {
+    for (int t = 0; t < lib.num_fu_types(); ++t) {
+      want[p].push_back(cycles_at(lib.fu(t).delay_ns, pts[p].vdd, pts[p].clk_ns));
+    }
+  }
+  std::atomic<int> wrong{0};
+  auto worker = [&](std::size_t first, std::size_t second, std::size_t npts) {
+    for (int it = 0; it < 4000; ++it) {
+      const std::size_t p = it % 7 == 6 ? static_cast<std::size_t>(it) % npts
+                                        : (it % 2 == 0 ? first : second);
+      const int t = it % lib.num_fu_types();
+      if (lib.cycles(t, pts[p]) != want[p][static_cast<std::size_t>(t)]) ++wrong;
+    }
+  };
+  std::thread a(worker, 0, 1, pts.size());
+  std::thread b(worker, 1, 0, pts.size());
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(Vdd, DelayScaleIsOneAtReference) {

@@ -208,5 +208,72 @@ TEST(Scheduler, StaggeredInputArrivalsDelayStart) {
   EXPECT_EQ(r.makespan, 6);
 }
 
+TEST(Scheduler, ChildLacksBehaviorNamesIt) {
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark("iir", lib);
+  SynthContext cx = make_cx(&bench.design, lib);
+  cx.clib = &bench.clib;
+  Datapath dp = initial_solution(bench.design.top(), "iir", cx);
+  ASSERT_TRUE(schedule_datapath(dp, lib, kRef, kNoDeadline).ok);
+  // The child still counts as scheduled; its behavior just has another
+  // name now, so the parent's invocation cannot find it.
+  Datapath& child = *dp.children[0].impl;
+  const std::string wanted = child.behaviors[0].behavior;
+  child.behaviors[0].behavior = "renamed";
+  try {
+    (void)schedule_datapath(dp, lib, kRef, kNoDeadline);
+    FAIL() << "expected a throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "hsyn check failed: scheduler: child lacks behavior " + wanted);
+  }
+}
+
+TEST(Scheduler, OutOfRangeIndicesThrow) {
+  // Corrupt bindings must fail a check, never index out of bounds.
+  Fixture f(two_adds_series());
+  Datapath good = f.initial();
+  ASSERT_TRUE(schedule_datapath(good, f.lib, kRef, kNoDeadline).ok);
+  auto expect_throw = [&](const char* what, auto corrupt) {
+    Datapath dp = good;
+    corrupt(dp.behaviors[0]);
+    EXPECT_THROW((void)schedule_datapath(dp, f.lib, kRef, kNoDeadline),
+                 std::logic_error)
+        << what;
+    EXPECT_THROW((void)alap_starts(dp, 0, f.lib, kRef, 10), std::logic_error)
+        << what;
+  };
+  expect_throw("fu past the end", [](BehaviorImpl& bi) { bi.invs[0].unit.idx = 99; });
+  expect_throw("negative fu", [](BehaviorImpl& bi) { bi.invs[1].unit.idx = -3; });
+  expect_throw("missing child", [](BehaviorImpl& bi) {
+    bi.invs[0].unit = {UnitRef::Kind::Child, 0};
+  });
+  expect_throw("register past the end", [](BehaviorImpl& bi) {
+    for (int& r : bi.edge_reg) {
+      if (r >= 0) r = 1000;
+    }
+  });
+  expect_throw("short edge_reg", [](BehaviorImpl& bi) { bi.edge_reg.pop_back(); });
+  expect_throw("node bound past the invocations", [](BehaviorImpl& bi) {
+    bi.node_inv[0] = 7;
+  });
+  expect_throw("node id past the dfg", [](BehaviorImpl& bi) {
+    bi.invs[0].nodes.push_back(50);
+  });
+  expect_throw("empty invocation", [](BehaviorImpl& bi) { bi.invs[0].nodes.clear(); });
+  expect_throw("missing input arrival", [](BehaviorImpl& bi) {
+    bi.input_arrival.clear();
+  });
+
+  // Child index past the end on a hierarchical design.
+  const Benchmark bench = make_benchmark("iir", f.lib);
+  SynthContext cx = make_cx(&bench.design, f.lib);
+  cx.clib = &bench.clib;
+  Datapath dp = initial_solution(bench.design.top(), "iir", cx);
+  dp.behaviors[0].invs[0].unit.idx = 42;
+  EXPECT_THROW((void)schedule_datapath(dp, f.lib, kRef, kNoDeadline),
+               std::logic_error);
+}
+
 }  // namespace
 }  // namespace hsyn

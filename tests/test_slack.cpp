@@ -10,6 +10,12 @@ namespace {
 
 const OpPoint kRef{5.0, 20.0};
 
+/// ALAP starts of the top behavior against `deadline`, as a move
+/// selection passes them to the derivations.
+std::vector<int> alap_at(const Datapath& dp, const Library& lib, int deadline) {
+  return alap_starts(dp, 0, lib, kRef, deadline);
+}
+
 TEST(Slack, FuBudgetGrowsWithDeadline) {
   const Library lib = default_library();
   Design design;
@@ -36,9 +42,11 @@ TEST(Slack, FuBudgetGrowsWithDeadline) {
   ASSERT_GE(add_inv, 0);
 
   const auto tight =
-      derive_fu_latency_budget(dp, 0, add_inv, lib, kRef, makespan);
+      derive_fu_latency_budget(dp, 0, add_inv, alap_at(dp, lib, makespan), lib,
+                               kRef, makespan);
   const auto loose =
-      derive_fu_latency_budget(dp, 0, add_inv, lib, kRef, makespan + 6);
+      derive_fu_latency_budget(dp, 0, add_inv, alap_at(dp, lib, makespan + 6),
+                               lib, kRef, makespan + 6);
   ASSERT_TRUE(tight.has_value());
   ASSERT_TRUE(loose.has_value());
   EXPECT_GE(*loose, *tight + 6);
@@ -62,8 +70,9 @@ TEST(Slack, ChildConstraintReflectsEnvironment) {
   const int deadline = makespan + 5;
 
   for (std::size_t c = 0; c < dp.children.size(); ++c) {
-    const auto mc =
-        derive_child_constraint(dp, 0, static_cast<int>(c), lib, kRef, deadline);
+    const auto mc = derive_child_constraint(dp, 0, static_cast<int>(c),
+                                            alap_at(dp, lib, deadline), lib, kRef,
+                                            deadline);
     ASSERT_TRUE(mc.has_value()) << "child " << c;
     const Profile p = dp.children[c].impl->profile(0, lib, kRef);
     // The current profile must satisfy the derived constraint (the
@@ -99,9 +108,11 @@ TEST(Slack, RelaxedDeadlinePropagatesToChildren) {
     }
   }
   const auto tight =
-      derive_child_constraint(dp, 0, last_child, lib, kRef, makespan);
+      derive_child_constraint(dp, 0, last_child, alap_at(dp, lib, makespan), lib,
+                              kRef, makespan);
   const auto loose =
-      derive_child_constraint(dp, 0, last_child, lib, kRef, makespan + 10);
+      derive_child_constraint(dp, 0, last_child, alap_at(dp, lib, makespan + 10),
+                              lib, kRef, makespan + 10);
   ASSERT_TRUE(tight && loose);
   EXPECT_EQ(loose->out_deadline[0], tight->out_deadline[0] + 10);
 }
@@ -116,8 +127,31 @@ TEST(Slack, UnusedChildYieldsNullopt) {
   cx.pt = kRef;
   Datapath dp = initial_solution(bench.design.top(), "iir", cx);
   ASSERT_TRUE(schedule_datapath(dp, lib, kRef, kNoDeadline).ok);
-  const auto mc = derive_child_constraint(dp, 0, 99, lib, kRef, 100);
+  const auto mc =
+      derive_child_constraint(dp, 0, 99, alap_at(dp, lib, 100), lib, kRef, 100);
   EXPECT_FALSE(mc.has_value());
+}
+
+TEST(Slack, EmptyAlapYieldsNullopt) {
+  // An empty ALAP vector (alap_starts failed) means "no constraint".
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark("iir", lib);
+  SynthContext cx;
+  cx.design = &bench.design;
+  cx.lib = &lib;
+  cx.clib = &bench.clib;
+  cx.pt = kRef;
+  Datapath dp = initial_solution(bench.design.top(), "iir", cx);
+  ASSERT_TRUE(schedule_datapath(dp, lib, kRef, kNoDeadline).ok);
+  const int deadline = dp.behaviors[0].makespan;
+  const std::vector<int> none;
+  EXPECT_FALSE(
+      derive_child_constraint(dp, 0, 0, none, lib, kRef, deadline).has_value());
+  EXPECT_FALSE(
+      derive_fu_latency_budget(dp, 0, 0, none, lib, kRef, deadline).has_value());
+  EXPECT_TRUE(derive_child_constraint(dp, 0, 0, alap_at(dp, lib, deadline), lib,
+                                      kRef, deadline)
+                  .has_value());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/fmt.h"
 #include "util/log.h"
@@ -72,13 +74,24 @@ TEST(Fmt, FixedPrecision) {
 }
 
 TEST(Fmt, CheckThrowsWithMessage) {
-  EXPECT_NO_THROW(check(true, "fine"));
-  try {
-    check(false, "boom");
-    FAIL() << "expected throw";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
-  }
+  // Literal, std::string and direct failure paths all throw
+  // std::logic_error with the same "hsyn check failed: " prefix.
+  auto what = [](auto&& fn) -> std::string {
+    try {
+      fn();
+    } catch (const std::logic_error& e) {
+      return e.what();
+    }
+    return "<no throw>";
+  };
+  EXPECT_EQ(what([] { check(true, "fine"); }), "<no throw>");
+  EXPECT_EQ(what([] { check(false, "boom"); }), "hsyn check failed: boom");
+  EXPECT_EQ(what([] { check(false, "a literal longer than fifteen chars"); }),
+            "hsyn check failed: a literal longer than fifteen chars");
+  const std::string msg = "built " + std::to_string(42);
+  EXPECT_EQ(what([&] { check(false, msg); }), "hsyn check failed: built 42");
+  EXPECT_EQ(what([&] { check_failed("unknown behavior " + std::string("x")); }),
+            "hsyn check failed: unknown behavior x");
 }
 
 TEST(Table, RendersAlignedRows) {
