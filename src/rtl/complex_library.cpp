@@ -36,7 +36,7 @@ std::vector<const ComplexLibrary::Template*> ComplexLibrary::for_behavior(
 }
 
 Datapath ComplexLibrary::instantiate(const Template& t, const std::string& behavior) {
-  Datapath dp = t.impl;  // deep copy
+  Datapath dp = t.impl;
   dp.name = t.name;
   dp.behaviors[0].behavior = behavior;
   dp.behaviors[0].scheduled = false;

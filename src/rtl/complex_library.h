@@ -39,7 +39,7 @@ class ComplexLibrary {
   std::vector<const Template*> for_behavior(const Design& design,
                                             const std::string& behavior) const;
 
-  /// Instantiate `t` to serve interface behavior `behavior`: a deep copy
+  /// Instantiate `t` to serve interface behavior `behavior`: a copy
   /// whose BehaviorImpl is relabeled to the interface name (its DFG stays
   /// the template's variant). Unscheduled.
   static Datapath instantiate(const Template& t, const std::string& behavior);

@@ -7,22 +7,6 @@
 
 namespace hsyn {
 
-ChildUnit::ChildUnit(const ChildUnit& other)
-    : impl(other.impl ? std::make_unique<Datapath>(*other.impl) : nullptr),
-      name(other.name),
-      sealed(other.sealed) {}
-
-ChildUnit& ChildUnit::operator=(const ChildUnit& other) {
-  if (this != &other) {
-    impl = other.impl ? std::make_unique<Datapath>(*other.impl) : nullptr;
-    name = other.name;
-    sealed = other.sealed;
-  }
-  return *this;
-}
-
-ChildUnit::~ChildUnit() = default;
-
 Datapath::Datapath(const Datapath& other)
     : name(other.name),
       fus(other.fus),
@@ -63,6 +47,19 @@ Datapath& Datapath::operator=(Datapath&& other) noexcept {
                     std::memory_order_relaxed);
   }
   return *this;
+}
+
+Datapath& Datapath::mut_child(int i) {
+  ChildUnit& c = children.at(static_cast<std::size_t>(i));
+  check(c.impl != nullptr, "null child impl");
+  // A copy keeps the source's cached fingerprint (not its behavior
+  // table); the caller is about to write, so drop it.
+  auto own = std::make_shared<Datapath>(*c.impl);
+  own->invalidate_fingerprint();
+  Datapath& out = *own;
+  c.impl = std::move(own);
+  invalidate_fingerprint();
+  return out;
 }
 
 const Dfg* BehaviorTable::find(const std::string& name) const {

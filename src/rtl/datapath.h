@@ -98,18 +98,14 @@ struct BehaviorTable {
   [[nodiscard]] const Dfg* find(const std::string& name) const;
 };
 
-/// A complex RTL module instance: an owned nested datapath.
+/// A complex RTL module instance: a shared, immutable nested datapath.
+/// Copying a ChildUnit (and so a Datapath) shares the subtree instead of
+/// copying it; the only way to change a child in place is
+/// Datapath::mut_child, which first gives the parent a private copy.
 struct ChildUnit {
-  std::unique_ptr<Datapath> impl;
+  std::shared_ptr<const Datapath> impl;
   std::string name;
   bool sealed = false;  ///< internal description may not be altered (no move B)
-
-  ChildUnit() = default;
-  ChildUnit(const ChildUnit& other);
-  ChildUnit& operator=(const ChildUnit& other);
-  ChildUnit(ChildUnit&&) noexcept = default;
-  ChildUnit& operator=(ChildUnit&&) noexcept = default;
-  ~ChildUnit();
 };
 
 class Datapath {
@@ -122,13 +118,20 @@ class Datapath {
 
   Datapath() = default;
   explicit Datapath(std::string n) : name(std::move(n)) {}
-  // The fingerprint cache is an atomic (shared candidate bases are read
-  // concurrently by runtime workers), so copies are spelled out; a copy is
-  // content-equal and keeps the cached fingerprint.
+  // The fingerprint cache is an atomic (shared candidate bases and child
+  // subtrees are read concurrently by runtime workers), so copies are
+  // spelled out; a copy is content-equal, shares every child subtree and
+  // keeps the cached fingerprint. Copying costs this level only.
   Datapath(const Datapath& other);
   Datapath& operator=(const Datapath& other);
   Datapath(Datapath&& other) noexcept;
   Datapath& operator=(Datapath&& other) noexcept;
+
+  /// Child `i`'s subtree, writable: replaces the shared child with a
+  /// private copy (its own children stay shared), drops that copy's
+  /// cached fingerprint and behavior table, and invalidates this level's
+  /// fingerprint. Every in-place write into a child goes through here.
+  Datapath& mut_child(int i);
 
   // ---- Behavior queries -------------------------------------------------
 
@@ -191,7 +194,8 @@ class Datapath {
   /// Cached structural fingerprint of this subtree: component set, bindings,
   /// register assignment, schedules, and each behavior DFG's content hash.
   /// Maintained incrementally -- mutation sites call invalidate_fingerprint()
-  /// and untouched children keep their cached values, so steady-state cost
+  /// (mut_child does it for the parent and the copied child) and shared,
+  /// untouched children keep their cached values, so steady-state cost
   /// queries are O(changed region), not O(design).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
@@ -199,8 +203,9 @@ class Datapath {
   [[nodiscard]] std::uint64_t fingerprint_scratch() const;
 
   /// Drop the cached fingerprint of *this level* (children keep theirs).
-  /// Must be called after any structural/schedule mutation that does not go
-  /// through prune_unused() or the scheduler.
+  /// Must be called after any structural/schedule mutation of this level
+  /// that does not go through prune_unused(), mut_child() or the
+  /// scheduler.
   void invalidate_fingerprint() {
     fp_cache_.store(0, std::memory_order_relaxed);
   }

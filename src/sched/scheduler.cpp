@@ -481,9 +481,10 @@ bool fully_scheduled(const Datapath& dp) {
 SchedResult schedule_datapath(Datapath& dp, const Library& lib, const OpPoint& pt,
                               int deadline) {
   obs::Span span("schedule");
-  for (ChildUnit& c : dp.children) {
-    if (fully_scheduled(*c.impl)) continue;
-    const SchedResult r = schedule_datapath(*c.impl, lib, pt, kNoDeadline);
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    if (fully_scheduled(*dp.children[c].impl)) continue;
+    const SchedResult r = schedule_datapath(
+        dp.mut_child(static_cast<int>(c)), lib, pt, kNoDeadline);
     if (!r.ok) return r;
   }
   SchedResult worst{true, 0, {}};
@@ -508,7 +509,9 @@ void invalidate_schedules(Datapath& dp) {
     bi.makespan = 0;
   }
   dp.invalidate_fingerprint();
-  for (ChildUnit& c : dp.children) invalidate_schedules(*c.impl);
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    invalidate_schedules(dp.mut_child(static_cast<int>(c)));
+  }
 }
 
 std::vector<int> alap_starts(const Datapath& dp, int b, const Library& lib,

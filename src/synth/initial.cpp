@@ -30,28 +30,37 @@ Datapath initial_solution(const Dfg& dfg, const std::string& behavior_name,
       check(cx.design != nullptr,
             "hierarchical node in flattened synthesis context");
       // Fastest implementation: best template vs fresh parallel module.
-      std::unique_ptr<Datapath> best;
+      // Template instances come scheduled from the cache and are shared,
+      // not copied; an unscheduled one failed to schedule at cx.pt.
+      std::shared_ptr<const Datapath> best;
       int best_makespan = std::numeric_limits<int>::max();
       double best_area = std::numeric_limits<double>::max();
-      auto consider = [&](Datapath cand) {
-        const SchedResult sr =
-            schedule_datapath(cand, lib, cx.pt, kNoDeadline);
-        if (!sr.ok) return;
-        const double area = area_of(cand, lib, /*top_level=*/false).total();
-        if (sr.makespan < best_makespan ||
-            (sr.makespan == best_makespan && area < best_area)) {
-          best_makespan = sr.makespan;
+      auto consider = [&](std::shared_ptr<const Datapath> cand, int makespan) {
+        const double area = area_of(*cand, lib, /*top_level=*/false).total();
+        if (makespan < best_makespan ||
+            (makespan == best_makespan && area < best_area)) {
+          best_makespan = makespan;
           best_area = area;
-          best = std::make_unique<Datapath>(std::move(cand));
+          best = std::move(cand);
         }
       };
       if (cx.clib != nullptr) {
         for (const ComplexLibrary::Template* t :
              cx.clib->for_behavior(*cx.design, n.behavior)) {
-          consider(instantiate_scheduled(*t, n.behavior, cx));
+          std::shared_ptr<const Datapath> inst =
+              instantiate_scheduled(*t, n.behavior, cx);
+          if (inst->behaviors[0].scheduled) {
+            consider(inst, inst->behaviors[0].makespan);
+          }
         }
       }
-      consider(initial_solution(cx.design->behavior(n.behavior), n.behavior, cx));
+      Datapath fresh =
+          initial_solution(cx.design->behavior(n.behavior), n.behavior, cx);
+      const SchedResult sr = schedule_datapath(fresh, lib, cx.pt, kNoDeadline);
+      if (sr.ok) {
+        consider(std::make_shared<const Datapath>(std::move(fresh)),
+                 sr.makespan);
+      }
       check(best != nullptr, "no feasible implementation for " + n.behavior);
 
       ChildUnit cu;
@@ -84,8 +93,9 @@ int align_child_profiles(Datapath& dp, const Library& lib, const OpPoint& pt,
                          int iterations) {
   // Align grandchildren first so child profiles are as tight as possible
   // before the parent reads them.
-  for (ChildUnit& c : dp.children) {
-    align_child_profiles(*c.impl, lib, pt, iterations);
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    align_child_profiles(dp.mut_child(static_cast<int>(c)), lib, pt,
+                         iterations);
   }
   SchedResult sr = schedule_datapath(dp, lib, pt, kNoDeadline);
   if (!sr.ok) return -1;
@@ -121,14 +131,18 @@ int align_child_profiles(Datapath& dp, const Library& lib, const OpPoint& pt,
         }
       }
       for (const auto& [key, pattern] : want) {
-        Datapath& child = *dp.children[static_cast<std::size_t>(key.first)].impl;
+        const Datapath& child =
+            *dp.children[static_cast<std::size_t>(key.first)].impl;
         const int cb = child.find_behavior(key.second);
         if (cb < 0) continue;
-        BehaviorImpl& cbi = child.behaviors[static_cast<std::size_t>(cb)];
-        if (cbi.input_arrival == pattern) continue;
+        if (child.behaviors[static_cast<std::size_t>(cb)].input_arrival ==
+            pattern) {
+          continue;
+        }
+        BehaviorImpl& cbi = dp.mut_child(key.first)
+                                .behaviors[static_cast<std::size_t>(cb)];
         cbi.input_arrival = pattern;
         cbi.scheduled = false;
-        child.invalidate_fingerprint();
         changed = true;
       }
     }

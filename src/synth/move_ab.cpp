@@ -126,6 +126,19 @@ std::vector<std::string> behaviors_served(const Datapath& dp, int child_idx) {
   return out;
 }
 
+/// `impl` expecting its inputs at `arrival`: unscheduled when that
+/// changes its assumed arrivals, unchanged otherwise.
+Datapath with_arrival(Datapath impl, const std::vector<int>& arrival) {
+  BehaviorImpl& bi = impl.behaviors[0];
+  if (bi.input_arrival != arrival) {
+    bi.input_arrival = arrival;
+    bi.scheduled = false;
+    bi.inv_start.clear();
+    impl.invalidate_fingerprint();
+  }
+  return impl;
+}
+
 /// Move A on a complex instance: swap in a library template or a freshly
 /// built implementation of an equivalent DFG ("a move of type A tries to
 /// select the best DFG which describes a hierarchical node").
@@ -169,20 +182,24 @@ Move replace_child(const Datapath& dp, int child_idx, const SynthContext& cx,
       [&](int i) {
         obs::CandidateScope oscope(grp, i);
         const Cand& c = cands[static_cast<std::size_t>(i)];
-        Datapath impl =
-            c.tmpl != nullptr
-                ? instantiate_scheduled(*c.tmpl, behavior, cx)
-                : initial_solution(cx.design->behavior(c.variant), behavior,
-                                   cx);
-        if (impl.behaviors[0].input_arrival != mc.in_arrival) {
-          impl.behaviors[0].input_arrival = mc.in_arrival;
-          impl.behaviors[0].scheduled = false;
-          impl.behaviors[0].inv_start.clear();
-          impl.invalidate_fingerprint();
+        // A cached template instance is installed as is; it is copied only
+        // when the derived input arrivals differ from the ones it was
+        // scheduled with.
+        std::shared_ptr<const Datapath> impl;
+        if (c.tmpl != nullptr) {
+          impl = instantiate_scheduled(*c.tmpl, behavior, cx);
+          if (impl->behaviors[0].input_arrival != mc.in_arrival) {
+            impl = std::make_shared<const Datapath>(
+                with_arrival(*impl, mc.in_arrival));
+          }
+        } else {
+          impl = std::make_shared<const Datapath>(with_arrival(
+              initial_solution(cx.design->behavior(c.variant), behavior, cx),
+              mc.in_arrival));
         }
         Datapath cand = dp;
         cand.children[static_cast<std::size_t>(child_idx)].impl =
-            std::make_unique<Datapath>(std::move(impl));
+            std::move(impl);
         return finish_move(
             std::move(cand), cx, cost0,
             c.tmpl != nullptr ? "A:module-select" : "A:dfg-swap",
@@ -237,7 +254,7 @@ Move resynth_child(const Datapath& dp, int child_idx, const SynthContext& cx,
   }();
   Datapath cand = dp;
   cand.children[static_cast<std::size_t>(child_idx)].impl =
-      std::make_unique<Datapath>(std::move(improved));
+      std::make_shared<const Datapath>(std::move(improved));
   const std::uint64_t grp = obs::MoveLedger::instance().begin_group();
   obs::CandidateScope oscope(grp, 0);
   best = better_move(best,

@@ -222,7 +222,7 @@ Datapath apply_candidate(const Datapath& dp, const Candidate& c,
         return cand;  // caller treats empty desc as failure
       }
       cand.children[static_cast<std::size_t>(c.a)].impl =
-          std::make_unique<Datapath>(std::move(*merged));
+          std::make_shared<const Datapath>(std::move(*merged));
       cand.children[static_cast<std::size_t>(c.a)].sealed =
           dp.children[static_cast<std::size_t>(c.a)].sealed ||
           dp.children[static_cast<std::size_t>(c.b)].sealed;

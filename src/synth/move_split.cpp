@@ -151,18 +151,20 @@ Move split_child(const Datapath& dp, const SynthContext& cx, double cost0) {
           }
           return s;
         };
+        // The two instances share one subtree until a behavior is dropped.
         for (const int cidx : {inv.unit.idx, new_child}) {
-          Datapath& impl = *cand.children[static_cast<std::size_t>(cidx)].impl;
           const std::set<std::string> keep = served(cidx);
-          std::vector<BehaviorImpl> kept;
-          for (BehaviorImpl& cb : impl.behaviors) {
-            if (keep.count(cb.behavior)) kept.push_back(std::move(cb));
-          }
-          if (!kept.empty()) {
-            impl.behaviors = std::move(kept);
-            impl.invalidate_fingerprint();
-            impl.prune_unused();
-          }
+          const std::vector<BehaviorImpl>& all =
+              cand.children[static_cast<std::size_t>(cidx)].impl->behaviors;
+          const auto n_kept = static_cast<std::size_t>(std::count_if(
+              all.begin(), all.end(),
+              [&](const BehaviorImpl& cb) { return keep.count(cb.behavior); }));
+          if (n_kept == 0 || n_kept == all.size()) continue;
+          Datapath& impl = cand.mut_child(cidx);
+          std::erase_if(impl.behaviors, [&](const BehaviorImpl& cb) {
+            return keep.count(cb.behavior) == 0;
+          });
+          impl.prune_unused();
         }
         return finish_move(std::move(cand), cx, cost0, "D:split-child",
                            strf("inv%zu gets its own module instance (was "

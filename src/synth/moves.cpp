@@ -42,20 +42,20 @@ void register_template_cache_stats() {
 
 TemplateCache::TemplateCache() { register_template_cache_stats(); }
 
-std::optional<Datapath> TemplateCache::get(const std::string& key) {
+std::shared_ptr<const Datapath> TemplateCache::get(const std::string& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     g_tmpl_misses.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
   g_tmpl_hits.fetch_add(1, std::memory_order_relaxed);
-  // Deep copy under the lock; schedules stay valid in the copy.
   return it->second->dp;
 }
 
-void TemplateCache::put(const std::string& key, Datapath dp) {
+void TemplateCache::put(const std::string& key,
+                        std::shared_ptr<const Datapath> dp) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
@@ -80,19 +80,21 @@ std::size_t TemplateCache::size() const {
   return lru_.size();
 }
 
-Datapath instantiate_scheduled(const ComplexLibrary::Template& t,
-                               const std::string& behavior,
-                               const SynthContext& cx) {
+std::shared_ptr<const Datapath> instantiate_scheduled(
+    const ComplexLibrary::Template& t, const std::string& behavior,
+    const SynthContext& cx) {
+  // %a prints the exact bits, so operating points never alias.
   const std::string key = t.name + "/" + behavior + "/" +
-                          strf("%.3f/%.3f", cx.pt.vdd, cx.pt.clk_ns);
-  if (auto hit = cx.template_cache->get(key)) return std::move(*hit);
+                          strf("%a/%a", cx.pt.vdd, cx.pt.clk_ns);
+  if (auto hit = cx.template_cache->get(key)) return hit;
   // Instantiate and schedule outside the lock -- several workers may
   // build the same template concurrently, but the result is a pure
   // function of the key, so whichever insert wins the race is correct.
   Datapath inst = ComplexLibrary::instantiate(t, behavior);
   schedule_datapath(inst, *cx.lib, cx.pt, kNoDeadline);
-  cx.template_cache->put(key, inst);
-  return inst;
+  auto shared = std::make_shared<const Datapath>(std::move(inst));
+  cx.template_cache->put(key, shared);
+  return shared;
 }
 
 double cost_of(const Datapath& dp, const SynthContext& cx) {

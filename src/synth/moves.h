@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 
 #include "dfg/design.h"
@@ -112,23 +111,25 @@ struct SynthOptions {
 };
 
 /// Cache of library templates already instantiated and scheduled at an
-/// operating point, shared across SynthContext copies. Guarded by a
-/// mutex because candidate evaluation runs on the parallel runtime
-/// (runtime/parallel.h) and workers may instantiate concurrently.
-/// Bounded (LRU over instantiations) and instrumented: aggregate
-/// hit/miss/eviction/entry counters over every instance are reported
-/// as the "template-cache" metrics source (obs::Registry), so they show
-/// up in --metrics-out.
+/// operating point, shared across SynthContext copies. Entries are
+/// immutable shared instances: a hit hands out the pointer, and a caller
+/// installs it as a child subtree as is. Guarded by a mutex because
+/// candidate evaluation runs on the parallel runtime (runtime/parallel.h)
+/// and workers may instantiate concurrently. Bounded (LRU over
+/// instantiations) and instrumented: aggregate hit/miss/eviction/entry
+/// counters over every instance are reported as the "template-cache"
+/// metrics source (obs::Registry), so they show up in --metrics-out.
 class TemplateCache {
  public:
   TemplateCache();
 
-  /// Deep copy of the cached datapath, or nullopt. Refreshes recency.
-  std::optional<Datapath> get(const std::string& key);
+  /// The cached instance (shared, never copied), or null. Refreshes
+  /// recency. An evicted instance stays valid while anyone holds it.
+  std::shared_ptr<const Datapath> get(const std::string& key);
 
   /// Insert (or refresh) `key`; evicts the least recently used entries
   /// beyond the bound.
-  void put(const std::string& key, Datapath dp);
+  void put(const std::string& key, std::shared_ptr<const Datapath> dp);
 
   std::size_t size() const;
 
@@ -137,7 +138,7 @@ class TemplateCache {
 
   struct Entry {
     std::string key;
-    Datapath dp;
+    std::shared_ptr<const Datapath> dp;
   };
 
   mutable std::mutex mu_;
@@ -163,10 +164,12 @@ struct SynthContext {
 };
 
 /// Instantiate template `t` to serve `behavior`, scheduled at cx.pt
-/// (memoized in cx.template_cache).
-Datapath instantiate_scheduled(const ComplexLibrary::Template& t,
-                               const std::string& behavior,
-                               const SynthContext& cx);
+/// (memoized in cx.template_cache under the exact operating point). The
+/// instance is shared with the cache; it is unscheduled only when it
+/// does not schedule at cx.pt.
+std::shared_ptr<const Datapath> instantiate_scheduled(
+    const ComplexLibrary::Template& t, const std::string& behavior,
+    const SynthContext& cx);
 
 /// Objective cost of a scheduled datapath: total area, or total energy
 /// per sample (power differs only by the fixed sampling period).

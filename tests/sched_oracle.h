@@ -328,9 +328,10 @@ inline bool oracle_fully_scheduled(const Datapath& dp) {
 /// and makespan histogram).
 inline SchedResult oracle_schedule_datapath(Datapath& dp, const Library& lib,
                                             const OpPoint& pt, int deadline) {
-  for (ChildUnit& c : dp.children) {
-    if (oracle_fully_scheduled(*c.impl)) continue;
-    const SchedResult r = oracle_schedule_datapath(*c.impl, lib, pt, kNoDeadline);
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    if (oracle_fully_scheduled(*dp.children[c].impl)) continue;
+    const SchedResult r = oracle_schedule_datapath(
+        dp.mut_child(static_cast<int>(c)), lib, pt, kNoDeadline);
     if (!r.ok) return r;
   }
   SchedResult worst{true, 0, {}};

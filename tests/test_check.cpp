@@ -325,9 +325,12 @@ BehaviorImpl* find_two_fu_behavior(Datapath& dp) {
     }
     if (fus >= 2) return &bi;
   }
-  for (ChildUnit& c : dp.children) {
-    if (!c.impl) continue;
-    if (BehaviorImpl* bi = find_two_fu_behavior(*c.impl)) return bi;
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    if (!dp.children[c].impl) continue;
+    if (BehaviorImpl* bi =
+            find_two_fu_behavior(dp.mut_child(static_cast<int>(c)))) {
+      return bi;
+    }
   }
   return nullptr;
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "benchmarks/benchmarks.h"
+#include "power/estimator.h"
 #include "sched/scheduler.h"
 #include "synth/initial.h"
 
@@ -45,17 +48,124 @@ TEST(Datapath, HierInitialUsesChildren) {
   EXPECT_NO_THROW(dp.validate(lib));
 }
 
-TEST(Datapath, ChildUnitDeepCopy) {
+TEST(Datapath, CopySharesChildSubtrees) {
   const Library lib = default_library();
   const Benchmark bench = make_benchmark("iir", lib);
   SynthContext cx = make_cx(&bench.design, lib, &bench.clib);
   Datapath dp = initial_solution(bench.design.top(), "iir", cx);
+  ASSERT_TRUE(schedule_datapath(dp, lib, cx.pt, kNoDeadline).ok);
+  const std::uint64_t fp0 = dp.fingerprint();
+  const std::uint64_t content0 = dp.fingerprint_scratch();
+
   Datapath copy = dp;
   ASSERT_EQ(copy.children.size(), dp.children.size());
-  EXPECT_NE(copy.children[0].impl.get(), dp.children[0].impl.get());
-  // Mutating the copy leaves the original untouched.
-  copy.children[0].impl->fus.clear();
-  EXPECT_FALSE(dp.children[0].impl->fus.empty());
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    EXPECT_EQ(copy.children[c].impl.get(), dp.children[c].impl.get()) << c;
+  }
+
+  const Datapath* shared = dp.children[0].impl.get();
+  const std::size_t n_fus = shared->fus.size();
+  ASSERT_GT(n_fus, 0u);
+  const int type0 = shared->fus[0].type;
+  Datapath& own = copy.mut_child(0);
+  // The copy now owns a private child; the other children and the
+  // private child's own subtrees stay shared.
+  EXPECT_NE(&own, shared);
+  EXPECT_EQ(copy.children[0].impl.get(), &own);
+  EXPECT_EQ(dp.children[0].impl.get(), shared);
+  for (std::size_t c = 1; c < dp.children.size(); ++c) {
+    EXPECT_EQ(copy.children[c].impl.get(), dp.children[c].impl.get()) << c;
+  }
+  for (std::size_t g = 0; g < shared->children.size(); ++g) {
+    EXPECT_EQ(own.children[g].impl.get(), shared->children[g].impl.get());
+  }
+
+  own.fus[0].type = (type0 + 1) % lib.num_fu_types();
+  EXPECT_EQ(shared->fus.size(), n_fus);
+  EXPECT_EQ(shared->fus[0].type, type0);
+  EXPECT_EQ(dp.fingerprint(), fp0);
+  EXPECT_EQ(dp.fingerprint_scratch(), content0);
+  EXPECT_NE(copy.fingerprint(), fp0);
+  EXPECT_EQ(dp.fingerprint(), dp.fingerprint_scratch());
+  EXPECT_EQ(copy.fingerprint(), copy.fingerprint_scratch());
+}
+
+// What one candidate derived from a shared base yields: its fingerprints
+// and the DFG its resolver finds for every behavior name.
+struct CandidateOutcome {
+  std::uint64_t fp = 0;
+  std::uint64_t fp_scratch = 0;
+  int makespan = 0;
+  std::vector<const Dfg*> resolved;
+
+  friend bool operator==(const CandidateOutcome&,
+                         const CandidateOutcome&) = default;
+};
+
+// Copy `base`, delay the inputs of child `c` by `delay` cycles through
+// mut_child, reschedule and read the copy back.
+CandidateOutcome derive(const Datapath& base, int c, int delay,
+                        const std::vector<std::string>& names,
+                        const Library& lib, const OpPoint& pt) {
+  Datapath cand = base;
+  BehaviorImpl& bi = cand.mut_child(c).behaviors[0];
+  for (int& a : bi.input_arrival) a += delay;
+  bi.scheduled = false;
+  CandidateOutcome out;
+  const SchedResult sr = schedule_datapath(cand, lib, pt, kNoDeadline);
+  EXPECT_TRUE(sr.ok) << sr.reason;
+  out.makespan = sr.makespan;
+  out.fp = cand.fingerprint();
+  out.fp_scratch = cand.fingerprint_scratch();
+  const BehaviorResolver res = resolver_of(cand);
+  for (const std::string& n : names) out.resolved.push_back(res(n));
+  return out;
+}
+
+TEST(Datapath, SharedSubtreesUnderConcurrentCopies) {
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark("iir", lib);
+  SynthContext cx = make_cx(&bench.design, lib, &bench.clib);
+  Datapath base = initial_solution(bench.design.top(), "iir", cx);
+  ASSERT_TRUE(schedule_datapath(base, lib, cx.pt, kNoDeadline).ok);
+  // The base's caches stay cold, so the workers race to fill the shared
+  // children's fingerprints and behavior tables.
+  const std::uint64_t content0 = base.fingerprint_scratch();
+  std::vector<std::string> names = {"missing"};
+  for (const ChildUnit& c : base.children) {
+    for (const BehaviorImpl& bi : c.impl->behaviors) {
+      names.push_back(bi.behavior);
+    }
+  }
+  const int n_children = static_cast<int>(base.children.size());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 12;
+
+  std::vector<std::vector<CandidateOutcome>> got(kThreads);
+  {
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int r = 0; r < kRounds; ++r) {
+          got[static_cast<std::size_t>(t)].push_back(
+              derive(base, (t + r) % n_children, 1 + r % 3, names, lib, cx.pt));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) {
+      const CandidateOutcome want =
+          derive(base, (t + r) % n_children, 1 + r % 3, names, lib, cx.pt);
+      EXPECT_EQ(got[static_cast<std::size_t>(t)][static_cast<std::size_t>(r)],
+                want)
+          << "thread " << t << " round " << r;
+      EXPECT_EQ(want.fp, want.fp_scratch);
+    }
+  }
+  EXPECT_EQ(base.fingerprint_scratch(), content0);
+  EXPECT_EQ(base.fingerprint(), content0);
 }
 
 TEST(Datapath, PruneUnusedCompactsIndices) {

@@ -352,15 +352,47 @@ TEST(RefreshConnectivity, UnitSplitHintMatchesFullRecompute) {
 
 TEST(TemplateCache, BoundedWithLruEviction) {
   TemplateCache tc;
-  const Datapath proto("tmpl");
+  const auto proto = std::make_shared<const Datapath>("tmpl");
   for (int i = 0; i < 70; ++i) tc.put("k" + std::to_string(i), proto);
   EXPECT_EQ(tc.size(), 64u);  // the bound held: k0..k5 evicted
-  EXPECT_FALSE(tc.get("k0").has_value());
-  EXPECT_TRUE(tc.get("k69").has_value());
-  ASSERT_TRUE(tc.get("k6").has_value());  // refreshes k6's recency...
+  EXPECT_EQ(tc.get("k0"), nullptr);
+  EXPECT_NE(tc.get("k69"), nullptr);
+  ASSERT_NE(tc.get("k6"), nullptr);  // refreshes k6's recency...
   tc.put("k70", proto);
-  EXPECT_TRUE(tc.get("k6").has_value());  // ...so k7 is the next victim
-  EXPECT_FALSE(tc.get("k7").has_value());
+  EXPECT_NE(tc.get("k6"), nullptr);  // ...so k7 is the next victim
+  EXPECT_EQ(tc.get("k7"), nullptr);
+}
+
+TEST(TemplateCache, NearbyClocksNeverShareSchedules) {
+  // Two clocks 0.0008 ns apart straddle a cycle boundary of the fast
+  // triple-product template: each must get the schedule its own clock
+  // gives, never the other's cached instance.
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark("test1", lib);
+  const ComplexLibrary::Template* t = bench.clib.find("b3mul_fast");
+  ASSERT_NE(t, nullptr);
+  SynthContext cx;
+  cx.design = &bench.design;
+  cx.lib = &lib;
+  cx.clib = &bench.clib;
+  const auto fresh_makespan = [&](const OpPoint& pt) {
+    Datapath inst = ComplexLibrary::instantiate(*t, "b3mul");
+    const SchedResult sr = schedule_datapath(inst, lib, pt, kNoDeadline);
+    EXPECT_TRUE(sr.ok) << sr.reason;
+    return sr.makespan;
+  };
+  const OpPoint slow{5.0, 11.0004};
+  const OpPoint fast{5.0, 10.9996};
+  ASSERT_NE(fresh_makespan(slow), fresh_makespan(fast));
+  for (const OpPoint& pt : {slow, fast, slow}) {
+    cx.pt = pt;
+    const std::shared_ptr<const Datapath> inst =
+        instantiate_scheduled(*t, "b3mul", cx);
+    ASSERT_TRUE(inst->behaviors[0].scheduled);
+    EXPECT_EQ(inst->behaviors[0].makespan, fresh_makespan(pt))
+        << "clk " << pt.clk_ns;
+  }
+  EXPECT_EQ(cx.template_cache->size(), 2u);
 }
 
 // ---- metrics-registry integration ---------------------------------------

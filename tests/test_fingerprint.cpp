@@ -205,19 +205,16 @@ TEST(Fingerprint, ChangesOnChildMutation) {
   ASSERT_FALSE(f.dp.children.empty());
   Datapath dp2 = f.dp;
   Datapath* child = nullptr;
-  for (ChildUnit& cu : dp2.children) {
-    if (!cu.impl->fus.empty()) {
-      child = cu.impl.get();
+  for (std::size_t c = 0; c < dp2.children.size(); ++c) {
+    if (!dp2.children[c].impl->fus.empty()) {
+      // The only way to write into a child: mut_child gives dp2 a private
+      // copy and invalidates both its fingerprint and dp2's.
+      child = &dp2.mut_child(static_cast<int>(c));
       break;
     }
   }
   ASSERT_NE(child, nullptr);
   child->fus[0].type = (child->fus[0].type + 1) % f.lib.num_fu_types();
-  // The documented contract: direct mutation invalidates the touched
-  // level and every enclosing level (real mutation sites -- the
-  // scheduler, prune_unused, the move generators -- do this for us).
-  child->invalidate_fingerprint();
-  dp2.invalidate_fingerprint();
   EXPECT_NE(dp2.fingerprint(), f.dp.fingerprint());
   EXPECT_EQ(dp2.fingerprint(), dp2.fingerprint_scratch());
 }

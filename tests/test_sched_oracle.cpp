@@ -493,7 +493,7 @@ TEST(SchedOracle, ChildReadsOneEdgeOnTwoPorts) {
   cx.deadline = kNoDeadline;
   Datapath dp = initial_solution(design.top(), "top2", cx);
   ASSERT_EQ(dp.children.size(), 1u);
-  BehaviorImpl& cb = dp.children[0].impl->behaviors[0];
+  BehaviorImpl& cb = dp.mut_child(0).behaviors[0];
   cb.input_arrival = {0, 3};
   cb.scheduled = false;
   BehaviorImpl& bi = dp.behaviors[0];

@@ -217,7 +217,7 @@ TEST(Scheduler, ChildLacksBehaviorNamesIt) {
   ASSERT_TRUE(schedule_datapath(dp, lib, kRef, kNoDeadline).ok);
   // The child still counts as scheduled; its behavior just has another
   // name now, so the parent's invocation cannot find it.
-  Datapath& child = *dp.children[0].impl;
+  Datapath& child = dp.mut_child(0);
   const std::string wanted = child.behaviors[0].behavior;
   child.behaviors[0].behavior = "renamed";
   try {
