@@ -95,7 +95,11 @@ class Dfg {
 
   int num_inputs() const { return num_inputs_; }
   int num_outputs() const { return num_outputs_; }
-  void set_io(int ins, int outs) { num_inputs_ = ins; num_outputs_ = outs; }
+  void set_io(int ins, int outs) {
+    num_inputs_ = ins;
+    num_outputs_ = outs;
+    invalidate();
+  }
 
   /// Add an operation node; returns its id.
   int add_node(Op op, std::string label = {});

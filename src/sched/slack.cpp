@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "util/fmt.h"
 
@@ -56,10 +57,15 @@ std::optional<ModuleConstraint> derive_child_constraint(
         "derive_child_constraint: ALAP size mismatch");
 
   std::optional<ModuleConstraint> result;
+  const std::string* served = nullptr;
   for (std::size_t i = 0; i < bi.invs.size(); ++i) {
     const Invocation& inv = bi.invs[i];
     if (inv.unit.kind != UnitRef::Kind::Child || inv.unit.idx != child_idx) continue;
     const Node& n = bi.dfg->node(inv.nodes.front());
+    // A merged child may serve behaviors of different arity here; no
+    // single port-indexed constraint describes them all.
+    if (served && *served != n.behavior) return std::nullopt;
+    served = &n.behavior;
     const int start = bi.inv_start[i];
 
     ModuleConstraint mc;

@@ -38,7 +38,8 @@ struct ModuleConstraint {
 
 /// Constraint for child unit `child_idx` serving behavior `b` of `dp`,
 /// intersected over all its invocations. Requires `b` scheduled.
-/// nullopt when the instance is unused in `b` or `alap` is empty.
+/// nullopt when the instance is unused in `b`, `alap` is empty, or its
+/// invocations in `b` execute more than one behavior (a merged child).
 std::optional<ModuleConstraint> derive_child_constraint(
     const Datapath& dp, int b, int child_idx, const std::vector<int>& alap,
     const Library& lib, const OpPoint& pt, int deadline);

@@ -1,6 +1,6 @@
 // Thin synchronous client of the hsyn daemon: one connection, one
-// outstanding request at a time (the CLI's usage pattern). bench_serve
-// opens several Clients to exercise the daemon concurrently.
+// outstanding request at a time (the CLI's usage pattern). Concurrent
+// callers each open their own Client.
 #pragma once
 
 #include <cstdint>

@@ -3,10 +3,12 @@
 // soundness contract against the concrete replay evaluator.
 #include <gtest/gtest.h>
 
+#include "benchmarks/benchmarks.h"
 #include "check/check.h"
 #include "check/dataflow.h"
 #include "dfg/design.h"
 #include "dfg/dfg.h"
+#include "eval/engine.h"
 #include "power/trace.h"
 #include "random_dfg.h"
 
@@ -147,6 +149,40 @@ TEST(Dataflow, CachedAnalysisIsShared) {
   const auto c = lint::analyze_dfg(d, nullptr, t);
   ASSERT_NE(c, nullptr);
   EXPECT_NE(a.get(), c.get());
+
+  // A corpus of random DFGs plus every bundled design's top (hierarchy
+  // resolved): a cold pass from cleared caches, then a warm pass whose
+  // every answer is the shared cold entry.
+  std::vector<Dfg> corpus;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    corpus.push_back(
+        testing_support::random_dfg(seed, 4 + static_cast<int>(seed % 28)));
+  }
+  const Library lib = default_library();
+  std::vector<Design> designs;
+  for (const char* name : {"avenhaus_cascade", "lat", "dct", "iir",
+                           "hier_paulin", "test1", "fir16", "dct2d"}) {
+    designs.push_back(make_benchmark(name, lib).design);
+  }
+  const auto analyze_all = [&] {
+    std::vector<std::shared_ptr<const DataflowFacts>> facts;
+    for (const Dfg& g : corpus) facts.push_back(lint::analyze_dfg(g));
+    for (const Design& ds : designs) {
+      const BehaviorResolver res = [&ds](const std::string& n) -> const Dfg* {
+        return ds.has_behavior(n) ? &ds.behavior(n) : nullptr;
+      };
+      facts.push_back(lint::analyze_dfg(ds.top(), res));
+    }
+    return facts;
+  };
+  eval::EvalEngine::instance().clear();
+  const auto cold = analyze_all();
+  const auto warm = analyze_all();
+  ASSERT_EQ(cold.size(), warm.size());
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    ASSERT_NE(cold[i], nullptr) << "input " << i;
+    EXPECT_EQ(cold[i].get(), warm[i].get()) << "input " << i;
+  }
 }
 
 TEST(Dataflow, HierChildSummaryResolvesThroughResolver) {

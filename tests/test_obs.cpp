@@ -4,7 +4,10 @@
 //     per-name totals that survive ring overflow and add up,
 //   * metrics registry: counters, gauges, histogram bucketing, snapshot,
 //   * move ledger: merged output bit-identical at 1/2/8 threads,
-//   * synthesis results bit-identical with tracing on vs off.
+//     records well-formed, summary consistent,
+//   * a traced synthesis run captures its phase spans.
+// That tracing, the ledger and the thread count never change results is
+// gated by Identity.* (tests/test_identity.cpp).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -417,18 +420,12 @@ TEST(Trace, SelfTimesAddUpToSynthesizeAtOneThread) {
   EXPECT_GE(self_sum + names, wall);
 }
 
-TEST(Obs, SynthesisBitIdenticalWithTracingOnAndOff) {
-  const SynthResult off = run_synth(2, /*with_ledger=*/false);
+TEST(Obs, TracedSynthesisCapturesPhaseSpans) {
   obs::Tracer& tr = obs::Tracer::instance();
   tr.reset();
   tr.set_enabled(true);
-  const SynthResult on = run_synth(2, /*with_ledger=*/true);
+  run_synth(2, /*with_ledger=*/true);
   tr.set_enabled(false);
-  EXPECT_EQ(structure_fingerprint(on.dp), structure_fingerprint(off.dp));
-  EXPECT_EQ(on.energy, off.energy);
-  EXPECT_EQ(on.area, off.area);
-  EXPECT_EQ(on.makespan, off.makespan);
-  // The traced run captured the synthesis phase structure.
   const std::vector<obs::SpanEvent> evs = tr.events();
   ASSERT_FALSE(evs.empty());
   bool saw_synthesize = false, saw_improve = false, saw_eval = false;

@@ -27,6 +27,7 @@
 #include "synth/portfolio.h"
 #include "synth/strategy.h"
 #include "synth/synthesizer.h"
+#include "strip_timing.h"
 
 namespace hsyn {
 namespace {
@@ -45,18 +46,7 @@ struct Bench1 {
   }
 };
 
-std::string strip_timing(const std::string& report) {
-  std::string out;
-  std::size_t pos = 0;
-  while (pos < report.size()) {
-    std::size_t eol = report.find('\n', pos);
-    if (eol == std::string::npos) eol = report.size();
-    const std::string line = report.substr(pos, eol - pos);
-    if (line.find("synthesis time") == std::string::npos) out += line + "\n";
-    pos = eol + 1;
-  }
-  return out;
-}
+using testing_support::strip_timing;
 
 TEST(Strategy, DefaultIsBaseline) {
   const SearchStrategy s;

@@ -2,7 +2,8 @@
 // ordered reduction must select the same element for every thread
 // count, per-task RNG streams must be pure functions of (seed, index),
 // worker exceptions must propagate to the caller, and a full synthesis
-// run must be bit-identical serial vs. parallel.
+// run must be bit-identical serial vs. parallel (the wider axes of that
+// gate are Identity.*, tests/test_identity.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>

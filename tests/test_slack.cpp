@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "benchmarks/benchmarks.h"
+#include "embed/embedder.h"
 #include "sched/scheduler.h"
 #include "sched/slack.h"
 #include "synth/initial.h"
@@ -130,6 +131,46 @@ TEST(Slack, UnusedChildYieldsNullopt) {
   const auto mc =
       derive_child_constraint(dp, 0, 99, alap_at(dp, lib, 100), lib, kRef, 100);
   EXPECT_FALSE(mc.has_value());
+}
+
+TEST(Slack, MergedChildOfTwoAritiesYieldsNullopt) {
+  // test1's maddpair (4 in, 2 out) and seqmac (4 in, 1 out) embedded into
+  // one child, as move C's embed does: no single port-indexed constraint
+  // describes both of its invocations.
+  const Library lib = default_library();
+  const Benchmark bench = make_benchmark("test1", lib);
+  SynthContext cx;
+  cx.design = &bench.design;
+  cx.lib = &lib;
+  cx.clib = &bench.clib;
+  cx.pt = kRef;
+  Datapath dp = initial_solution(bench.design.top(), "test1", cx);
+  int madd = -1;
+  int mac = -1;
+  for (const Invocation& inv : dp.behaviors[0].invs) {
+    if (inv.unit.kind != UnitRef::Kind::Child) continue;
+    const std::string& name =
+        dp.behaviors[0].dfg->node(inv.nodes.front()).behavior;
+    if (name == "maddpair") madd = inv.unit.idx;
+    if (name == "seqmac") mac = inv.unit.idx;
+  }
+  ASSERT_GE(madd, 0);
+  ASSERT_GE(mac, 0);
+  auto merged = embed_modules(*dp.children[static_cast<std::size_t>(madd)].impl,
+                              *dp.children[static_cast<std::size_t>(mac)].impl,
+                              lib, kRef);
+  ASSERT_TRUE(merged.has_value());
+  dp.children[static_cast<std::size_t>(madd)].impl =
+      std::make_shared<const Datapath>(std::move(*merged));
+  for (Invocation& inv : dp.behaviors[0].invs) {
+    if (inv.unit == UnitRef{UnitRef::Kind::Child, mac}) inv.unit.idx = madd;
+  }
+  dp.invalidate_fingerprint();
+  ASSERT_TRUE(schedule_datapath(dp, lib, kRef, kNoDeadline).ok);
+  const int deadline = dp.behaviors[0].makespan + 5;
+  EXPECT_FALSE(derive_child_constraint(dp, 0, madd, alap_at(dp, lib, deadline),
+                                       lib, kRef, deadline)
+                   .has_value());
 }
 
 TEST(Slack, EmptyAlapYieldsNullopt) {
