@@ -67,10 +67,12 @@ Expected derive_expected(const Datapath& dp, const Library& lib,
                          const OpPoint& pt) {
   Expected ex;
   std::set<std::string> signals;
-  // The Datapath accessors used below assume in-range unit indices;
-  // bail out first when the binding is broken (rtl-binding reports it).
+  // The Datapath accessors used below assume in-range unit indices and
+  // schedules made at `pt` (ready times read stored child profiles);
+  // bail out first when either is broken (rtl-binding and
+  // schedule-legality report it).
   for (const BehaviorImpl& bi : dp.behaviors) {
-    if (!behavior_usable(bi)) return ex;
+    if (!behavior_usable(bi) || !bi.scheduled_at(lib, pt)) return ex;
     for (const Invocation& inv : bi.invs) {
       const std::size_t limit = inv.unit.kind == UnitRef::Kind::Fu
                                     ? dp.fus.size()
@@ -78,6 +80,16 @@ Expected derive_expected(const Datapath& dp, const Library& lib,
       if (inv.unit.idx < 0 ||
           inv.unit.idx >= static_cast<int>(limit)) {
         return ex;
+      }
+      if (inv.unit.kind == UnitRef::Kind::Child) {
+        const Datapath& child =
+            *dp.children[static_cast<std::size_t>(inv.unit.idx)].impl;
+        const int cb =
+            child.find_behavior(bi.dfg->node(inv.nodes.front()).behavior);
+        if (cb < 0 ||
+            !child.behaviors[static_cast<std::size_t>(cb)].scheduled_at(lib, pt)) {
+          return ex;
+        }
       }
     }
   }

@@ -356,14 +356,15 @@ std::vector<InvTiming> collect_timing(const Datapath& dp, int b,
       if (cb < 0) continue;
       const BehaviorImpl& cbi =
           cu.impl->behaviors[static_cast<std::size_t>(cb)];
-      if (!cbi.scheduled) {
+      if (!cbi.scheduled_at(lib, pt)) {
         rep.add("SCHED008", Severity::Error, at + strf(" inv %zu", i),
-                strf("child '%s' behavior '%s' is not scheduled under a "
+                strf("child '%s' behavior '%s' is not scheduled%s under a "
                      "scheduled parent",
-                     cu.name.c_str(), n.behavior.c_str()));
+                     cu.name.c_str(), n.behavior.c_str(),
+                     cbi.scheduled ? " at the parent's operating point" : ""));
         continue;
       }
-      const Profile p = cu.impl->profile(cb, lib, pt);
+      const Profile& p = cu.impl->profile(cb, lib, pt);
       ti.busy = std::max(1, p.makespan());
       for (int port = 0; port < n.num_inputs; ++port) {
         const int e = bi.dfg->input_edge(inv.nodes.front(), port);

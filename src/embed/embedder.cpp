@@ -246,9 +246,7 @@ std::optional<Datapath> embed_modules(const Datapath& a, const Datapath& b,
       for (int& r : bi.edge_reg) {
         if (r >= 0) r = reg_map[static_cast<std::size_t>(r)];
       }
-      bi.scheduled = false;
-      bi.inv_start.clear();
-      bi.makespan = 0;
+      bi.unschedule();
       merged.behaviors.push_back(std::move(bi));
     }
   };

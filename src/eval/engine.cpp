@@ -1,5 +1,6 @@
 #include "eval/engine.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 #include <unordered_map>
@@ -35,22 +36,30 @@ bool env_verify() {
   return s != nullptr && s[0] == '1';
 }
 
-/// Rough heap footprint of a Connectivity (for the byte budget).
+/// Heap bytes a `bytes`-byte request takes from glibc malloc: an 8-byte
+/// header, rounded up to 16, 32 at least.
+std::size_t heap_chunk(std::size_t bytes) {
+  return bytes == 0 ? 0 : std::max<std::size_t>(32, (bytes + 8 + 15) / 16 * 16);
+}
+
+/// Heap footprint of a Connectivity (for the byte budget): every row is
+/// its own allocation, so the chunk overhead outweighs the few sources a
+/// row holds.
 std::size_t connectivity_bytes(const Connectivity& c) {
-  // A node of std::set<int> costs ~64 bytes with allocator overhead; a
-  // port vector entry ~sizeof(std::set). Close enough for budgeting.
-  constexpr std::size_t kSetNode = 64;
   std::size_t b = sizeof(Connectivity);
-  auto ports_bytes = [&](const std::vector<std::vector<std::set<int>>>& pv) {
+  auto ports_bytes = [&](const std::vector<std::vector<std::vector<int>>>& pv) {
+    b += heap_chunk(pv.capacity() * sizeof(pv[0]));
     for (const auto& ports : pv) {
-      b += sizeof(ports) + ports.size() * sizeof(std::set<int>);
-      for (const auto& srcs : ports) b += srcs.size() * kSetNode;
+      b += heap_chunk(ports.capacity() * sizeof(ports[0]));
+      for (const auto& srcs : ports) b += heap_chunk(srcs.capacity() * sizeof(int));
     }
   };
   ports_bytes(c.fu_port_srcs);
   ports_bytes(c.child_port_srcs);
-  b += c.reg_srcs.size() * sizeof(std::set<SourceKey>);
-  for (const auto& srcs : c.reg_srcs) b += srcs.size() * kSetNode;
+  b += heap_chunk(c.reg_srcs.capacity() * sizeof(c.reg_srcs[0]));
+  for (const auto& srcs : c.reg_srcs) {
+    b += heap_chunk(srcs.capacity() * sizeof(SourceKey));
+  }
   return b;
 }
 

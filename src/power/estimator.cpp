@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <span>
 
 #include "eval/engine.h"
 #include "obs/trace.h"
@@ -75,7 +76,8 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
   const Connectivity& conn = *conn_ptr;
 
   // Invocation order within a sample: by start cycle then index.
-  std::vector<int> order(bi.invs.size());
+  const std::size_t ninv = bi.invs.size();
+  std::vector<int> order(ninv);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int c) {
     const int sa = bi.inv_start[static_cast<std::size_t>(a)];
@@ -83,11 +85,14 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
     return sa != sb ? sa < sb : a < c;
   });
 
-  // Cached input-edge lists and chained-op signatures per invocation.
-  std::vector<std::vector<int>> inv_ins(bi.invs.size());
-  std::vector<int> inv_opbits(bi.invs.size(), 0);
-  for (std::size_t i = 0; i < bi.invs.size(); ++i) {
-    inv_ins[i] = dp.inv_input_edges(b, static_cast<int>(i));
+  // Input-edge lists per invocation, back to back (invocation i's are
+  // ins[ins_begin[i] .. ins_begin[i + 1])), and chained-op signatures.
+  std::vector<int> ins;
+  std::vector<int> ins_begin(ninv + 1, 0);
+  std::vector<int> inv_opbits(ninv, 0);
+  for (std::size_t i = 0; i < ninv; ++i) {
+    dp.append_inv_input_edges(b, static_cast<int>(i), ins);
+    ins_begin[i + 1] = static_cast<int>(ins.size());
     if (bi.invs[i].unit.kind == UnitRef::Kind::Fu) {
       int opbits = 0;
       for (const int nid : bi.invs[i].nodes) {
@@ -96,52 +101,75 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
       inv_opbits[i] = opbits;
     }
   }
+  const auto inv_ins = [&](int i) {
+    const std::size_t k = static_cast<std::size_t>(i);
+    return std::span<const int>(ins.data() + ins_begin[k],
+                                ins.data() + ins_begin[k + 1]);
+  };
 
-  // Invocations grouped per physical unit, in schedule order: every
-  // activity stream below (functional-unit tuples, port deliveries,
-  // child traces) is a per-unit sequence over (sample, schedule slot).
-  std::vector<std::vector<int>> fu_invs(dp.fus.size());
-  std::vector<std::vector<int>> child_invs(dp.children.size());
-  for (const int i : order) {
-    const Invocation& inv = bi.invs[static_cast<std::size_t>(i)];
-    auto& bucket = inv.unit.kind == UnitRef::Kind::Fu
-                       ? fu_invs[static_cast<std::size_t>(inv.unit.idx)]
-                       : child_invs[static_cast<std::size_t>(inv.unit.idx)];
-    bucket.push_back(i);
+  // Invocations grouped per physical unit (fus first, then children), in
+  // schedule order: every activity stream below (functional-unit tuples,
+  // port deliveries, child traces) is a per-unit sequence over (sample,
+  // schedule slot).
+  const std::size_t nfus = dp.fus.size();
+  const auto unit_key = [&](int i) {
+    const UnitRef& u = bi.invs[static_cast<std::size_t>(i)].unit;
+    return static_cast<std::size_t>(u.idx) +
+           (u.kind == UnitRef::Kind::Fu ? 0 : nfus);
+  };
+  std::vector<int> unit_begin(nfus + dp.children.size() + 1, 0);
+  for (std::size_t i = 0; i < ninv; ++i) {
+    ++unit_begin[unit_key(static_cast<int>(i)) + 1];
   }
+  std::partial_sum(unit_begin.begin(), unit_begin.end(), unit_begin.begin());
+  std::vector<int> unit_invs(ninv);
+  {
+    std::vector<int> pos(unit_begin.begin(), unit_begin.end() - 1);
+    for (const int i : order) {
+      unit_invs[static_cast<std::size_t>(pos[unit_key(i)]++)] = i;
+    }
+  }
+  const auto invs_of = [&](std::size_t key) {
+    return std::span<const int>(unit_invs.data() + unit_begin[key],
+                                unit_invs.data() + unit_begin[key + 1]);
+  };
 
   // ---- Functional-unit activity streams. ---------------------------------
   // One pass down the unit's invocation stream: consecutive operand
   // tuples on the same unit toggle its inputs; an op change (chained
   // signature) adds a fixed control flip. The whole stream reads edge
   // columns of the matrix -- no per-event vector allocation.
-  for (std::size_t u = 0; u < dp.fus.size(); ++u) {
-    const std::vector<int>& invs = fu_invs[u];
+  std::vector<const std::int32_t*> cols;  // per stream slot j: its operand columns
+  std::vector<std::size_t> col_begin;
+  std::vector<std::int32_t> prev, cur;
+  for (std::size_t u = 0; u < nfus; ++u) {
+    const std::span<const int> invs = invs_of(u);
     if (invs.empty()) continue;
     const FuType& ft = lib.fu(dp.fus[u].type);
     std::size_t max_arity = 1;
-    std::vector<std::vector<const std::int32_t*>> cols(invs.size());
-    for (std::size_t j = 0; j < invs.size(); ++j) {
-      const std::vector<int>& ins = inv_ins[static_cast<std::size_t>(invs[j])];
-      max_arity = std::max(max_arity, ins.size());
-      cols[j].reserve(ins.size());
-      for (const int e : ins) cols[j].push_back(mat.col(e));
+    cols.clear();
+    col_begin.assign(1, 0);
+    for (const int i : invs) {
+      const std::span<const int> in = inv_ins(i);
+      max_arity = std::max(max_arity, in.size());
+      for (const int e : in) cols.push_back(mat.col(e));
+      col_begin.push_back(cols.size());
     }
-    std::vector<std::int32_t> prev(max_arity), cur(max_arity);
+    prev.assign(max_arity, 0);
+    cur.assign(max_arity, 0);
     std::size_t prev_n = 0;
     int prev_opbits = 0;
     bool has_prev = false;
     double act = 0;
     for (std::size_t t = 0; t < T; ++t) {
       for (std::size_t j = 0; j < invs.size(); ++j) {
-        const std::size_t n = cols[j].size();
-        for (std::size_t p = 0; p < n; ++p) cur[p] = cols[j][p][t];
+        const std::size_t n = col_begin[j + 1] - col_begin[j];
+        for (std::size_t p = 0; p < n; ++p) cur[p] = cols[col_begin[j] + p][t];
+        const int opbits = inv_opbits[static_cast<std::size_t>(invs[j])];
         if (has_prev) {
           const int ham = hamming_tuple(prev.data(), prev_n, cur.data(), n);
           const int bits = static_cast<int>(std::max(prev_n, n)) * 16;
-          const double opflip =
-              prev_opbits == inv_opbits[static_cast<std::size_t>(invs[j])] ? 0.0
-                                                                           : 4.0;
+          const double opflip = prev_opbits == opbits ? 0.0 : 4.0;
           act += (ham + opflip) / (bits + 4);
         } else {
           // First evaluation of this unit: half-activity startup.
@@ -149,7 +177,7 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
         }
         std::swap(prev, cur);
         prev_n = n;
-        prev_opbits = inv_opbits[static_cast<std::size_t>(invs[j])];
+        prev_opbits = opbits;
         has_prev = true;
       }
     }
@@ -163,24 +191,23 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
   // edge columns -- no arena buffer fill per stream -- and the first
   // delivery primes the port and never toggles (toggle_count's
   // convention, which the gather preserves).
+  std::vector<const std::int32_t*> src;
   const auto port_streams =
-      [&](const std::vector<std::vector<int>>& unit_invs,
-          const std::vector<std::vector<std::set<int>>>& port_srcs) {
-        for (std::size_t u = 0; u < unit_invs.size(); ++u) {
-          const std::vector<int>& invs = unit_invs[u];
+      [&](std::size_t first_key,
+          const std::vector<std::vector<std::vector<int>>>& port_srcs) {
+        for (std::size_t u = 0; u < port_srcs.size(); ++u) {
+          const std::span<const int> invs = invs_of(first_key + u);
           if (invs.empty()) continue;
           const auto& ports = port_srcs[u];
           std::size_t max_ports = 0;
           for (const int i : invs) {
-            max_ports =
-                std::max(max_ports, inv_ins[static_cast<std::size_t>(i)].size());
+            max_ports = std::max(max_ports, inv_ins(i).size());
           }
           for (std::size_t p = 0; p < max_ports; ++p) {
-            std::vector<const std::int32_t*> src;
-            src.reserve(invs.size());
+            src.clear();
             for (const int i : invs) {
-              const std::vector<int>& ins = inv_ins[static_cast<std::size_t>(i)];
-              if (p < ins.size()) src.push_back(mat.col(ins[p]));
+              const std::span<const int> in = inv_ins(i);
+              if (p < in.size()) src.push_back(mat.col(in[p]));
             }
             const int toggles = toggle_count_gather(src.data(), src.size(), T);
             const double act = toggles / 16.0;
@@ -190,42 +217,54 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
           }
         }
       };
-  port_streams(fu_invs, conn.fu_port_srcs);
-  port_streams(child_invs, conn.child_port_srcs);
+  port_streams(0, conn.fu_port_srcs);
+  port_streams(nfus, conn.child_port_srcs);
 
   // ---- Child traces: per (child idx, behavior name). ---------------------
   std::map<std::pair<int, std::string>, Trace> child_traces;
   for (std::size_t c = 0; c < dp.children.size(); ++c) {
-    const std::vector<int>& invs = child_invs[c];
+    const std::span<const int> invs = invs_of(nfus + c);
     if (invs.empty()) continue;
     for (std::size_t t = 0; t < T; ++t) {
       for (const int i : invs) {
-        const std::vector<int>& ins = inv_ins[static_cast<std::size_t>(i)];
+        const std::span<const int> in = inv_ins(i);
         const Node& n =
             dfg.node(bi.invs[static_cast<std::size_t>(i)].nodes.front());
-        Sample s(ins.size());
-        for (std::size_t p = 0; p < ins.size(); ++p) s[p] = mat.at(ins[p], t);
+        Sample s(in.size());
+        for (std::size_t p = 0; p < in.size(); ++p) s[p] = mat.at(in[p], t);
         child_traces[{static_cast<int>(c), n.behavior}].push_back(std::move(s));
       }
     }
   }
 
   // ---- Register write streams. ------------------------------------------
-  // Writes per register ordered by ready time within a sample.
-  std::map<int, std::vector<int>> reg_edges;  // reg -> edge ids
-  for (const Edge& e : dfg.edges()) {
-    const int r = bi.edge_reg[static_cast<std::size_t>(e.id)];
-    if (r >= 0) reg_edges[r].push_back(e.id);
+  // Writes per register ordered by ready time within a sample; registers
+  // in ascending order, so the sum is the same in every run.
+  const std::size_t nregs = dp.regs.size();
+  std::vector<int> reg_begin(nregs + 1, 0);
+  for (const int r : bi.edge_reg) {
+    if (r >= 0) ++reg_begin[static_cast<std::size_t>(r) + 1];
   }
-  for (auto& [r, eids] : reg_edges) {
-    std::sort(eids.begin(), eids.end(), [&](int a, int c) {
-      const int ta = dp.edge_ready_time(b, a, lib, pt);
-      const int tc = dp.edge_ready_time(b, c, lib, pt);
-      return ta != tc ? ta < tc : a < c;
-    });
-    std::vector<const std::int32_t*> cols;
-    cols.reserve(eids.size());
-    for (const int e : eids) cols.push_back(mat.col(e));
+  std::partial_sum(reg_begin.begin(), reg_begin.end(), reg_begin.begin());
+  // (ready cycle, edge id) per register write, bucketed by register.
+  std::vector<std::pair<int, int>> writes(
+      static_cast<std::size_t>(reg_begin.back()));
+  {
+    std::vector<int> pos(reg_begin.begin(), reg_begin.end() - 1);
+    for (const Edge& e : dfg.edges()) {
+      const int r = bi.edge_reg[static_cast<std::size_t>(e.id)];
+      if (r < 0) continue;
+      writes[static_cast<std::size_t>(pos[static_cast<std::size_t>(r)]++)] = {
+          dp.edge_ready_time(b, e.id, lib, pt), e.id};
+    }
+  }
+  for (std::size_t r = 0; r < nregs; ++r) {
+    const auto first = writes.begin() + reg_begin[r];
+    const auto last = writes.begin() + reg_begin[r + 1];
+    if (first == last) continue;
+    std::sort(first, last);
+    cols.clear();
+    for (auto it = first; it != last; ++it) cols.push_back(mat.col(it->second));
     const int toggles = toggle_count_gather(cols.data(), cols.size(), T);
     // First write is a half-activity startup; every later write toggles.
     eb.reg += lib.reg().cap_sw * (0.5 + toggles / 16.0) * escale;

@@ -99,7 +99,7 @@ RtlSimResult simulate_rtl(const Datapath& dp, int b, const Trace& trace,
       inv_child_beh[i] = cb;
       // Resolver hoisted out of the per-sample completion path.
       inv_child_res[i] = resolver_of(child);
-      const Profile p = child.profile(cb, lib, pt);
+      const Profile& p = child.profile(cb, lib, pt);
       // inv_input_edges order for a single hier node is its port order.
       for (std::size_t k = 0; k < inv_ins[i].size(); ++k) {
         inv_read_off[i][k] = p.in[k];
@@ -243,7 +243,7 @@ RtlSimResult simulate_rtl(const Datapath& dp, int b, const Trace& trace,
         const std::vector<Sample> outs = eval_dfg(
             *child.behaviors[static_cast<std::size_t>(inv_child_beh[i])].dfg,
             inv_child_res[i], one);
-        const Profile prof = child.profile(inv_child_beh[i], lib, pt);
+        const Profile& prof = child.profile(inv_child_beh[i], lib, pt);
         for (int port = 0; port < n.num_outputs; ++port) {
           const int e = dfg.output_edge(inv.nodes.front(), port);
           if (e < 0) continue;

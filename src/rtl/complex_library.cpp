@@ -39,9 +39,7 @@ Datapath ComplexLibrary::instantiate(const Template& t, const std::string& behav
   Datapath dp = t.impl;
   dp.name = t.name;
   dp.behaviors[0].behavior = behavior;
-  dp.behaviors[0].scheduled = false;
-  dp.behaviors[0].inv_start.clear();
-  dp.behaviors[0].makespan = 0;
+  dp.behaviors[0].unschedule();
   return dp;
 }
 

@@ -8,7 +8,6 @@
 // FSM controller area proportional to states and control signals.
 #pragma once
 
-#include <set>
 #include <vector>
 
 #include "rtl/datapath.h"
@@ -16,7 +15,7 @@
 namespace hsyn {
 
 /// A data source feeding a port: a register, another unit's output, or a
-/// primary input. Encoded for set-keying.
+/// primary input. Ordered, so rows of sources can be kept sorted.
 struct SourceKey {
   int kind = 0;  ///< 0 = reg, 1 = fu out, 2 = child out, 3 = primary input
   int idx = 0;
@@ -27,13 +26,15 @@ struct SourceKey {
 
 /// Structural connectivity of one datapath level (children summarized,
 /// not expanded): which sources feed every unit input port and register.
+/// Every row is a sorted, duplicate-free vector (a flat set: rows hold a
+/// handful of sources, and candidate connectivities are built per move).
 struct Connectivity {
-  /// [fu][port] -> distinct register sources.
-  std::vector<std::vector<std::set<int>>> fu_port_srcs;
-  /// [child][port] -> distinct register sources.
-  std::vector<std::vector<std::set<int>>> child_port_srcs;
-  /// [reg] -> distinct producing sources.
-  std::vector<std::set<SourceKey>> reg_srcs;
+  /// [fu][port] -> distinct register sources, ascending.
+  std::vector<std::vector<std::vector<int>>> fu_port_srcs;
+  /// [child][port] -> distinct register sources, ascending.
+  std::vector<std::vector<std::vector<int>>> child_port_srcs;
+  /// [reg] -> distinct producing sources, ascending.
+  std::vector<std::vector<SourceKey>> reg_srcs;
 
   /// Total mux data inputs: sum over ports of max(0, |sources| - 1).
   [[nodiscard]] int mux_inputs() const;

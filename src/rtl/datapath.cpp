@@ -1,7 +1,6 @@
 #include "rtl/datapath.h"
 
 #include <algorithm>
-#include <set>
 
 #include "util/fmt.h"
 
@@ -104,6 +103,14 @@ std::shared_ptr<const BehaviorTable> Datapath::behavior_table() const {
   return table;
 }
 
+void BehaviorImpl::unschedule() {
+  scheduled = false;
+  inv_start.clear();
+  makespan = 0;
+  profile.in.clear();
+  profile.out.clear();
+}
+
 int BehaviorImpl::inv_of(int node) const {
   check(node >= 0 && node < static_cast<int>(node_inv.size()),
         "inv_of: node out of range");
@@ -159,24 +166,29 @@ int Datapath::reg_load(int r) const {
 }
 
 std::vector<int> Datapath::inv_input_edges(int b, int i) const {
+  std::vector<int> out;
+  append_inv_input_edges(b, i, out);
+  return out;
+}
+
+void Datapath::append_inv_input_edges(int b, int i, std::vector<int>& out) const {
   const BehaviorImpl& bi = behaviors.at(static_cast<std::size_t>(b));
   const Invocation& inv = bi.invs.at(static_cast<std::size_t>(i));
-  std::set<int> internal;
-  if (inv.nodes.size() > 1) {
-    for (std::size_t k = 0; k + 1 < inv.nodes.size(); ++k) {
-      const int eid = bi.dfg->output_edge(inv.nodes[k], 0);
-      if (eid >= 0) internal.insert(eid);
-    }
-  }
-  std::vector<int> out;
+  // In a chain, node k's output edge feeds node k + 1 internally; chains
+  // are a few nodes long, so a linear scan of the links beats a set.
+  const std::size_t links = inv.nodes.size() - 1;
   for (const int nid : inv.nodes) {
     const Node& n = bi.dfg->node(nid);
     for (int p = 0; p < n.num_inputs; ++p) {
       const int eid = bi.dfg->input_edge(nid, p);
-      if (!internal.count(eid)) out.push_back(eid);
+      bool internal = false;
+      for (std::size_t k = 0; k < links && !internal; ++k) {
+        const int link = bi.dfg->output_edge(inv.nodes[k], 0);
+        internal = link >= 0 && link == eid;
+      }
+      if (!internal) out.push_back(eid);
     }
   }
-  return out;
 }
 
 std::vector<int> Datapath::inv_output_edges(int b, int i) const {
@@ -192,10 +204,27 @@ std::vector<int> Datapath::inv_output_edges(int b, int i) const {
   return out;
 }
 
+namespace {
+
+/// The scheduled behavior `b` of `dp`, checked against the operating
+/// point a query asks for.
+const BehaviorImpl& scheduled_at(const Datapath& dp, int b, const Library& lib,
+                                 const OpPoint& pt, const char* what) {
+  const BehaviorImpl& bi = dp.behaviors.at(static_cast<std::size_t>(b));
+  if (!bi.scheduled) check_failed(strf("%s: behavior not scheduled", what));
+  if (!bi.scheduled_at(lib, pt)) {
+    check_failed(strf("%s: behavior '%s' was scheduled at another operating "
+                      "point or library",
+                      what, bi.behavior.c_str()));
+  }
+  return bi;
+}
+
+}  // namespace
+
 int Datapath::edge_ready_time(int b, int e, const Library& lib,
                               const OpPoint& pt) const {
-  const BehaviorImpl& bi = behaviors.at(static_cast<std::size_t>(b));
-  check(bi.scheduled, "edge_ready_time: behavior not scheduled");
+  const BehaviorImpl& bi = scheduled_at(*this, b, lib, pt, "edge_ready_time");
   const Edge& edge = bi.dfg->edge(e);
   if (edge.src.node == kPrimaryIn) {
     return bi.input_arrival.at(static_cast<std::size_t>(edge.src.port));
@@ -209,24 +238,16 @@ int Datapath::edge_ready_time(int b, int e, const Library& lib,
     const Node& n = bi.dfg->node(inv.nodes.front());
     const int cb = child.find_behavior(n.behavior);
     if (cb < 0) check_failed("child lacks behavior " + n.behavior);
-    const Profile p = child.profile(cb, lib, pt);
-    return start + p.out.at(static_cast<std::size_t>(edge.src.port));
+    return start + child.profile(cb, lib, pt)
+                       .out.at(static_cast<std::size_t>(edge.src.port));
   }
   // Chain-internal producers complete with the whole chain.
   return start + inv_latency(b, i, lib, pt);
 }
 
-Profile Datapath::profile(int b, const Library& lib, const OpPoint& pt) const {
-  const BehaviorImpl& bi = behaviors.at(static_cast<std::size_t>(b));
-  check(bi.scheduled, "profile: behavior not scheduled");
-  Profile p;
-  p.in = bi.input_arrival;
-  p.out.resize(static_cast<std::size_t>(bi.dfg->num_outputs()));
-  for (int o = 0; o < bi.dfg->num_outputs(); ++o) {
-    p.out[static_cast<std::size_t>(o)] =
-        edge_ready_time(b, bi.dfg->primary_output_edge(o), lib, pt);
-  }
-  return p;
+const Profile& Datapath::profile(int b, const Library& lib,
+                                 const OpPoint& pt) const {
+  return scheduled_at(*this, b, lib, pt, "profile").profile;
 }
 
 int Datapath::total_components() const {
@@ -237,61 +258,56 @@ int Datapath::total_components() const {
   return n;
 }
 
+namespace {
+
+/// Keep the marked entries of `v` in order; `map[i]` becomes entry i's
+/// new index (unmarked entries keep -1).
+template <typename T>
+void compact(std::vector<T>& v, int* map) {
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (map[i] < 0) continue;
+    map[i] = static_cast<int>(w);
+    if (w != i) v[w] = std::move(v[i]);
+    ++w;
+  }
+  v.erase(v.begin() + static_cast<std::ptrdiff_t>(w), v.end());
+}
+
+}  // namespace
+
 bool Datapath::prune_unused() {
-  std::vector<int> fu_map(fus.size(), -1);
-  std::vector<int> child_map(children.size(), -1);
-  std::vector<int> reg_map(regs.size(), -1);
+  // Old -> new index maps of fus, children and registers, back to back
+  // in one per-thread buffer (-1 = unused); nothing here re-enters.
+  thread_local std::vector<int> maps;
+  maps.assign(fus.size() + children.size() + regs.size(), -1);
+  int* const fu_map = maps.data();
+  int* const child_map = fu_map + fus.size();
+  int* const reg_map = child_map + children.size();
   for (const BehaviorImpl& bi : behaviors) {
     for (const Invocation& inv : bi.invs) {
-      if (inv.unit.kind == UnitRef::Kind::Fu) {
-        fu_map[static_cast<std::size_t>(inv.unit.idx)] = 0;
-      } else {
-        child_map[static_cast<std::size_t>(inv.unit.idx)] = 0;
-      }
+      (inv.unit.kind == UnitRef::Kind::Fu ? fu_map : child_map)
+          [static_cast<std::size_t>(inv.unit.idx)] = 0;
     }
     for (const int r : bi.edge_reg) {
       if (r >= 0) reg_map[static_cast<std::size_t>(r)] = 0;
     }
   }
-  // Compact.
-  std::vector<FuUnit> new_fus;
-  for (std::size_t i = 0; i < fus.size(); ++i) {
-    if (fu_map[i] == 0) {
-      fu_map[i] = static_cast<int>(new_fus.size());
-      new_fus.push_back(fus[i]);
-    }
-  }
-  std::vector<ChildUnit> new_children;
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    if (child_map[i] == 0) {
-      child_map[i] = static_cast<int>(new_children.size());
-      new_children.push_back(std::move(children[i]));
-    }
-  }
-  std::vector<RegUnit> new_regs;
-  for (std::size_t i = 0; i < regs.size(); ++i) {
-    if (reg_map[i] == 0) {
-      reg_map[i] = static_cast<int>(new_regs.size());
-      new_regs.push_back(regs[i]);
-    }
-  }
-  const bool changed = new_fus.size() != fus.size() ||
-                       new_children.size() != children.size() ||
-                       new_regs.size() != regs.size();
-  fus = std::move(new_fus);
-  children = std::move(new_children);
-  regs = std::move(new_regs);
+  if (std::find(maps.begin(), maps.end(), -1) == maps.end()) return false;
+  compact(fus, fu_map);
+  compact(children, child_map);
+  compact(regs, reg_map);
   for (BehaviorImpl& bi : behaviors) {
     for (Invocation& inv : bi.invs) {
-      auto& map = inv.unit.kind == UnitRef::Kind::Fu ? fu_map : child_map;
+      const int* map = inv.unit.kind == UnitRef::Kind::Fu ? fu_map : child_map;
       inv.unit.idx = map[static_cast<std::size_t>(inv.unit.idx)];
     }
     for (int& r : bi.edge_reg) {
       if (r >= 0) r = reg_map[static_cast<std::size_t>(r)];
     }
   }
-  if (changed) invalidate_fingerprint();
-  return changed;
+  invalidate_fingerprint();
+  return true;
 }
 
 void Datapath::validate(const Library& lib) const {

@@ -58,13 +58,29 @@ struct BehaviorImpl {
   std::vector<int> node_inv;        ///< node id -> invocation index
   std::vector<int> edge_reg;        ///< edge id -> register unit (-1: chain-internal)
   std::vector<int> input_arrival;   ///< assumed primary-input arrival cycles
-  // Filled in by the scheduler:
+  // Filled in by the scheduler, dropped by unschedule():
   std::vector<int> inv_start;       ///< invocation start cycles
   int makespan = 0;                 ///< completion cycle of all primary outputs
   bool scheduled = false;
+  /// The module's profile at the schedule's operating point: in =
+  /// input_arrival, out[j] = ready cycle of primary output j. Fixed once
+  /// scheduled, so profile queries read it instead of recomputing.
+  Profile profile;
+  std::uint64_t sched_lib = 0;  ///< Library::uid() the schedule was made with
+  OpPoint sched_pt;             ///< operating point the schedule was made at
 
   /// Invocation index executing `node` (checked).
   [[nodiscard]] int inv_of(int node) const;
+
+  /// Scheduled with `lib` at `pt`: the one point the stored profile
+  /// answers for.
+  [[nodiscard]] bool scheduled_at(const Library& lib, const OpPoint& pt) const {
+    return scheduled && sched_lib == lib.uid() && sched_pt == pt;
+  }
+
+  /// Forget the schedule (start cycles, makespan, stored profile). Every
+  /// mutation that invalidates a schedule goes through here.
+  void unschedule();
 };
 
 /// A simple functional-unit instance.
@@ -138,10 +154,12 @@ class Datapath {
   /// Index of the implementation of `behavior`; -1 when absent.
   [[nodiscard]] int find_behavior(const std::string& behavior) const;
 
-  /// Profile of this module for behavior index `b` (requires scheduled).
-  /// in[i] = assumed arrival of primary input i; out[j] = production cycle
-  /// of primary output j.
-  [[nodiscard]] Profile profile(int b, const Library& lib, const OpPoint& pt) const;
+  /// Profile of this module for behavior index `b`: the one stored by
+  /// the scheduler. in[i] = assumed arrival of primary input i; out[j] =
+  /// production cycle of primary output j. Requires `b` scheduled with
+  /// `lib` at `pt` (checked).
+  [[nodiscard]] const Profile& profile(int b, const Library& lib,
+                                       const OpPoint& pt) const;
 
   /// Busy time per invocation of behavior `b` = its scheduled makespan
   /// (the module is non-pipelined across behaviors).
@@ -165,12 +183,16 @@ class Datapath {
   /// of the behavior's DFG.
   [[nodiscard]] std::vector<int> inv_input_edges(int b, int i) const;
 
+  /// inv_input_edges appended to `out` (no scratch allocation).
+  void append_inv_input_edges(int b, int i, std::vector<int>& out) const;
+
   /// Output edges of invocation `i` of behavior `b`, in port order.
   /// For chains, the final node's output; for hier nodes, all outputs.
   [[nodiscard]] std::vector<int> inv_output_edges(int b, int i) const;
 
   /// Production cycle of edge `e` in behavior `b` (arrival time for
-  /// primary-input edges; requires scheduled).
+  /// primary-input edges). Same requirement as profile(); child outputs
+  /// read the child's stored profile, so there is no recursion.
   [[nodiscard]] int edge_ready_time(int b, int e, const Library& lib,
                                     const OpPoint& pt) const;
 

@@ -38,7 +38,7 @@ void emit(const Datapath& dp, const Library& lib, int depth,
   }
   const Connectivity conn = connectivity_of(dp);
   auto emit_ports = [&](const std::string& uname,
-                        const std::vector<std::set<int>>& ports) {
+                        const std::vector<std::vector<int>>& ports) {
     for (std::size_t p = 0; p < ports.size(); ++p) {
       if (ports[p].empty()) continue;
       if (ports[p].size() == 1) {

@@ -221,7 +221,7 @@ void collect_info(const View& v, const Library& lib, const OpPoint& pt) {
       const Node& n = dfg.node(inv.nodes.front());
       const int cb = child.find_behavior(n.behavior);
       if (cb < 0) check_failed("scheduler: child lacks behavior " + n.behavior);
-      const Profile p = child.profile(cb, lib, pt);
+      const Profile& p = child.profile(cb, lib, pt);
       check(static_cast<int>(p.in.size()) >= n.num_inputs &&
                 static_cast<int>(p.out.size()) >= n.num_outputs,
             "scheduler: child profile does not match its node");
@@ -449,12 +449,30 @@ SchedResult schedule_behavior(Datapath& dp, int b, const Library& lib,
   const Dfg& dfg = *bi.dfg;
   bi.inv_start.assign(s.start.begin(), s.start.end());
   bi.scheduled = true;
+  bi.sched_lib = lib.uid();
+  bi.sched_pt = pt;
   dp.invalidate_fingerprint();
 
+  // The profile: input arrivals, then each primary output's ready cycle
+  // (a child's output offset comes from its own stored profile).
+  bi.profile.in.assign(bi.input_arrival.begin(), bi.input_arrival.end());
+  bi.profile.out.resize(static_cast<std::size_t>(dfg.num_outputs()));
   int makespan = 0;
   for (int o = 0; o < dfg.num_outputs(); ++o) {
-    makespan = std::max(
-        makespan, dp.edge_ready_time(b, dfg.primary_output_edge(o), lib, pt));
+    const Edge& e = dfg.edge(dfg.primary_output_edge(o));
+    int ready = 0;
+    if (e.src.node == kPrimaryIn) {
+      ready = v.input_arrival(e.src.port);
+    } else {
+      check(e.src.node >= 0, "scheduler: primary output has no producer");
+      const int p = v.inv_of(e.src.node);
+      const std::size_t pp = static_cast<std::size_t>(p);
+      ready = s.start[pp] + (bi.invs[pp].unit.kind == UnitRef::Kind::Fu
+                                 ? s.busy[pp]
+                                 : v.out_off(p, e.id));
+    }
+    bi.profile.out[static_cast<std::size_t>(o)] = ready;
+    makespan = std::max(makespan, ready);
   }
   bi.makespan = makespan;
   if (makespan > deadline) {
@@ -503,11 +521,7 @@ SchedResult schedule_datapath(Datapath& dp, const Library& lib, const OpPoint& p
 }
 
 void invalidate_schedules(Datapath& dp) {
-  for (BehaviorImpl& bi : dp.behaviors) {
-    bi.scheduled = false;
-    bi.inv_start.clear();
-    bi.makespan = 0;
-  }
+  for (BehaviorImpl& bi : dp.behaviors) bi.unschedule();
   dp.invalidate_fingerprint();
   for (std::size_t c = 0; c < dp.children.size(); ++c) {
     invalidate_schedules(dp.mut_child(static_cast<int>(c)));

@@ -29,7 +29,7 @@ int edge_deadline(const Datapath& dp, int b, int e, const std::vector<int>& alap
       const Datapath& child =
           *dp.children[static_cast<std::size_t>(cinv.unit.idx)].impl;
       const Node& n = bi.dfg->node(cinv.nodes.front());
-      const Profile p = child.profile(child.find_behavior(n.behavior), lib, pt);
+      const Profile& p = child.profile(child.find_behavior(n.behavior), lib, pt);
       // The edge may feed several ports; it must be there for the earliest.
       int off = std::numeric_limits<int>::max();
       for (int port = 0; port < n.num_inputs; ++port) {

@@ -1,5 +1,6 @@
 #include "serve/jobs.h"
 
+#include <mutex>
 #include <utility>
 
 #include "dfg/textio.h"
@@ -189,6 +190,33 @@ JobOutcome run_job_body(const JobSpec& spec, const JobHooks& hooks) {
   return out;
 }
 
+/// Keeps the move ledger recording while any want_ledger job runs, and
+/// puts it back as the first such job found it when the last one ends,
+/// so a daemon's later plain jobs do not keep piling up records.
+class LedgerHold {
+ public:
+  explicit LedgerHold(bool want) : want_(want) {
+    if (!want_) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    obs::MoveLedger& led = obs::MoveLedger::instance();
+    if (holders_++ == 0) was_enabled_ = led.enabled();
+    led.set_enabled(true);
+  }
+  ~LedgerHold() {
+    if (!want_) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--holders_ == 0) obs::MoveLedger::instance().set_enabled(was_enabled_);
+  }
+  LedgerHold(const LedgerHold&) = delete;
+  LedgerHold& operator=(const LedgerHold&) = delete;
+
+ private:
+  const bool want_;
+  static inline std::mutex mu_;
+  static inline int holders_ = 0;
+  static inline bool was_enabled_ = false;
+};
+
 }  // namespace
 
 JobOutcome run_job(const JobSpec& spec, const JobHooks& hooks) {
@@ -205,7 +233,7 @@ JobOutcome run_job(const JobSpec& spec, const JobHooks& hooks) {
   if (hooks.cancel && spec.time_budget_ms > 0) {
     hooks.cancel->set_deadline_after_ms(spec.time_budget_ms);
   }
-  if (spec.want_ledger) obs::MoveLedger::instance().set_enabled(true);
+  const LedgerHold ledger_hold(spec.want_ledger);
 
   JobOutcome out = run_job_body(spec, hooks);
 

@@ -116,7 +116,9 @@ int Server::run() {
   engine_->shutdown();
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
-    for (const auto& conn : conns_) conn->close();
+    for (const auto& weak : conns_) {
+      if (const auto conn = weak.lock()) conn->close();
+    }
   }
   for (std::thread& t : conn_threads_) {
     if (t.joinable()) t.join();

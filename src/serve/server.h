@@ -59,7 +59,9 @@ class Server {
   std::atomic<bool> stopping_{false};
 
   std::mutex conn_mu_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
+  // Weak: a connection (and its fd) goes away once its thread and its
+  // jobs' callbacks are done with it, not at daemon teardown.
+  std::vector<std::weak_ptr<ClientConn>> conns_;
   std::vector<std::thread> conn_threads_;
 };
 

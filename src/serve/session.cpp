@@ -67,12 +67,18 @@ bool ClientConn::send(const std::string& frame) {
   return false;
 }
 
+ClientConn::~ClientConn() {
+  close();
+  ::close(fd_);
+}
+
 void ClientConn::close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (!alive_.exchange(false, std::memory_order_acq_rel)) return;
-  // Both halves: a reader blocked in next() gets EOF immediately.
+  // Both halves: a reader blocked in next() gets EOF immediately. No
+  // ::close here: the reader may still be inside read() on this fd, and a
+  // closed fd number can be reused by the next open under it.
   ::shutdown(fd_, SHUT_RDWR);
-  ::close(fd_);
 }
 
 void serve_connection(const std::shared_ptr<ClientConn>& conn,

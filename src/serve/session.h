@@ -22,7 +22,9 @@ class JobEngine;
 class ClientConn {
  public:
   explicit ClientConn(int fd) : fd_(fd) {}
-  ~ClientConn() { close(); }
+  /// Releases the fd. The connection thread holds a reference while it
+  /// reads, so the fd is never closed under a read() in flight.
+  ~ClientConn();
   ClientConn(const ClientConn&) = delete;
   ClientConn& operator=(const ClientConn&) = delete;
 
@@ -31,8 +33,9 @@ class ClientConn {
   /// failed write kills it.
   bool send(const std::string& frame);
 
-  /// Mark dead and close the socket. Safe to call twice; safe while
-  /// other threads are in send().
+  /// Mark dead and shut the socket down, which wakes a reader blocked in
+  /// read() with EOF; the fd itself stays open until destruction. Safe
+  /// to call twice; safe while other threads are in send() or read().
   void close();
 
   int fd() const { return fd_; }

@@ -142,7 +142,7 @@ int align_child_profiles(Datapath& dp, const Library& lib, const OpPoint& pt,
         BehaviorImpl& cbi = dp.mut_child(key.first)
                                 .behaviors[static_cast<std::size_t>(cb)];
         cbi.input_arrival = pattern;
-        cbi.scheduled = false;
+        cbi.unschedule();
         changed = true;
       }
     }

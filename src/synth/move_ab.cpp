@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "obs/ledger.h"
@@ -132,8 +133,7 @@ Datapath with_arrival(Datapath impl, const std::vector<int>& arrival) {
   BehaviorImpl& bi = impl.behaviors[0];
   if (bi.input_arrival != arrival) {
     bi.input_arrival = arrival;
-    bi.scheduled = false;
-    bi.inv_start.clear();
+    bi.unschedule();
     impl.invalidate_fingerprint();
   }
   return impl;

@@ -67,12 +67,23 @@ void gather_reg_merges(const Datapath& dp, const SynthContext& cx,
   // Merging registers whose contents come from the same source costs no
   // extra mux input; prefer those.
   const Connectivity conn = connectivity_of(dp);
+  // |a u b| of two sorted, duplicate-free rows, by a merge walk.
+  auto union_size = [](const std::vector<SourceKey>& a,
+                       const std::vector<SourceKey>& b) {
+    std::size_t ia = 0, ib = 0;
+    int n = 0;
+    while (ia < a.size() && ib < b.size()) {
+      const auto ord = a[ia] <=> b[ib];
+      if (ord <= 0) ++ia;
+      if (ord >= 0) ++ib;
+      ++n;
+    }
+    return n + static_cast<int>(a.size() - ia + b.size() - ib);
+  };
   for (std::size_t i = 0; i < dp.regs.size(); ++i) {
     for (std::size_t j = i + 1; j < dp.regs.size(); ++j) {
-      std::set<SourceKey> un = conn.reg_srcs[i];
-      un.insert(conn.reg_srcs[j].begin(), conn.reg_srcs[j].end());
       const int extra_mux =
-          std::max(0, static_cast<int>(un.size()) - 1) -
+          std::max(0, union_size(conn.reg_srcs[i], conn.reg_srcs[j]) - 1) -
           std::max(0, static_cast<int>(conn.reg_srcs[i].size()) - 1) -
           std::max(0, static_cast<int>(conn.reg_srcs[j].size()) - 1);
       Candidate c;

@@ -10,6 +10,7 @@
 //     part of the work (also un-does RTL embedding behavior-wise),
 //   * chain unfuse: a chained invocation breaks back into single ops.
 #include <algorithm>
+#include <set>
 
 #include "obs/ledger.h"
 #include "rtl/cost.h"

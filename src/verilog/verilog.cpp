@@ -379,7 +379,7 @@ class Emitter {
           const Datapath& child =
               *dp.children[static_cast<std::size_t>(inv.unit.idx)].impl;
           const Node& n = bi.dfg->node(inv.nodes.front());
-          const Profile p =
+          const Profile& p =
               child.profile(child.find_behavior(n.behavior), lib_, pt_);
           for (int port = 0; port < n.num_outputs; ++port) {
             const int e = bi.dfg->output_edge(inv.nodes.front(), port);

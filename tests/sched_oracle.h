@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "profile_oracle.h"
 #include "rtl/datapath.h"
 #include "sched/scheduler.h"
 #include "util/fmt.h"
@@ -74,7 +75,7 @@ inline std::vector<InvInfo> collect_info(const Datapath& dp, int b,
       const Node& n = bi.dfg->node(inv.nodes.front());
       const int cb = child.find_behavior(n.behavior);
       if (cb < 0) check_failed("scheduler: child lacks behavior " + n.behavior);
-      const Profile p = child.profile(cb, lib, pt);
+      const Profile p = oracle_profile(child, cb, lib, pt);
       fi.busy = std::max(1, p.makespan());
       for (int port = 0; port < n.num_inputs; ++port) {
         const int e = bi.dfg->input_edge(inv.nodes.front(), port);
@@ -288,7 +289,6 @@ inline SchedResult oracle_schedule_behavior(Datapath& dp, int b,
                                             const Library& lib,
                                             const OpPoint& pt, int deadline) {
   BehaviorImpl& bi = dp.behaviors[static_cast<std::size_t>(b)];
-  const Dfg& dfg = *bi.dfg;
   oracle_detail::BuiltGraphs g = oracle_detail::build_graphs(dp, b, lib, pt);
   if (!g.ok) return {false, 0, g.reason};
 
@@ -301,11 +301,12 @@ inline SchedResult oracle_schedule_behavior(Datapath& dp, int b,
   bi.scheduled = true;
   dp.invalidate_fingerprint();
 
-  int makespan = 0;
-  for (int o = 0; o < dfg.num_outputs(); ++o) {
-    makespan = std::max(
-        makespan, dp.edge_ready_time(b, dfg.primary_output_edge(o), lib, pt));
-  }
+  // The oracle's own recursive profile is what the production scheduler
+  // stores; store it too, so production queries work on oracle results.
+  bi.profile = oracle_profile(dp, b, lib, pt);
+  bi.sched_lib = lib.uid();
+  bi.sched_pt = pt;
+  const int makespan = bi.profile.makespan();
   bi.makespan = makespan;
   if (makespan > deadline) {
     return {false, makespan,

@@ -396,6 +396,20 @@ TEST(SchedLegality, DetectsMakespanMismatchAndDeadlineViolation) {
   EXPECT_TRUE(rep2.has("SCHED007"));
 }
 
+TEST(SchedLegality, DetectsChildScheduledAtAnotherPoint) {
+  // A child scheduled at another clock than its parent: its stored
+  // profile does not hold at the parent's point, so lint reports it
+  // instead of reading that profile.
+  Fixture f("hier_paulin");
+  ASSERT_FALSE(f.dp.children.empty());
+  Datapath& child = f.dp.mut_child(0);
+  invalidate_schedules(child);
+  ASSERT_TRUE(schedule_datapath(child, f.lib, {5.0, 10.0}, kNoDeadline).ok);
+  lint::Report rep;
+  ASSERT_NO_THROW(rep = f.lint());
+  EXPECT_TRUE(rep.has("SCHED008"));
+}
+
 // ---- ctrl-consistency ----------------------------------------------------
 
 struct CtrlFixture : Fixture {

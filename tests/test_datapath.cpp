@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "benchmarks/benchmarks.h"
@@ -110,7 +111,7 @@ CandidateOutcome derive(const Datapath& base, int c, int delay,
   Datapath cand = base;
   BehaviorImpl& bi = cand.mut_child(c).behaviors[0];
   for (int& a : bi.input_arrival) a += delay;
-  bi.scheduled = false;
+  bi.unschedule();
   CandidateOutcome out;
   const SchedResult sr = schedule_datapath(cand, lib, pt, kNoDeadline);
   EXPECT_TRUE(sr.ok) << sr.reason;
@@ -204,6 +205,39 @@ TEST(Datapath, ProfileOfScheduledModule) {
   // y = b0*x + s1: mult (3) + add (1) = 4 cycles at the reference point.
   EXPECT_EQ(p.out[0], 4);
   EXPECT_EQ(p.makespan(), dp.behaviors[0].makespan);
+}
+
+TEST(Datapath, ProfileAtOtherOperatingPointThrows) {
+  const Library lib = default_library();
+  Design design;
+  design.add_behavior(make_biquad("biquad"));
+  design.set_top("biquad");
+  design.validate();
+  SynthContext cx = make_cx(&design, lib);
+  Datapath dp = initial_solution(design.top(), "biquad", cx);
+  ASSERT_TRUE(schedule_datapath(dp, lib, cx.pt, kNoDeadline).ok);
+  const int out_edge = dp.behaviors[0].dfg->primary_output_edge(0);
+  EXPECT_NO_THROW((void)dp.profile(0, lib, cx.pt));
+  EXPECT_NO_THROW((void)dp.edge_ready_time(0, out_edge, lib, cx.pt));
+
+  // Another operating point, or another library, is a different schedule.
+  const OpPoint scaled{3.3, 20.0};
+  const OpPoint faster{5.0, 10.0};
+  for (const OpPoint& pt : {scaled, faster}) {
+    EXPECT_THROW((void)dp.profile(0, lib, pt), std::logic_error);
+    EXPECT_THROW((void)dp.edge_ready_time(0, out_edge, lib, pt), std::logic_error);
+  }
+  Library edited = lib;
+  edited.costs_mut();  // any mutation gives the library a new uid
+  ASSERT_NE(edited.uid(), lib.uid());
+  EXPECT_THROW((void)dp.profile(0, edited, cx.pt), std::logic_error);
+
+  // Rescheduled at the other point, the profile follows it.
+  invalidate_schedules(dp);
+  EXPECT_THROW((void)dp.profile(0, lib, cx.pt), std::logic_error);
+  ASSERT_TRUE(schedule_datapath(dp, lib, scaled, kNoDeadline).ok);
+  EXPECT_NO_THROW((void)dp.profile(0, lib, scaled));
+  EXPECT_THROW((void)dp.profile(0, lib, cx.pt), std::logic_error);
 }
 
 TEST(Datapath, InvInputEdgesExcludesChainInternal) {

@@ -7,8 +7,10 @@
 // threads; CI runs it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,10 +22,12 @@
 #include "power/estimator.h"
 #include "power/replay.h"
 #include "power/trace.h"
+#include "random_dfg.h"
 #include "rtl/cost.h"
 #include "sched/scheduler.h"
 #include "synth/initial.h"
 #include "synth/moves.h"
+#include "util/rng.h"
 
 namespace hsyn {
 namespace {
@@ -346,6 +350,184 @@ TEST(RefreshConnectivity, UnitSplitHintMatchesFullRecompute) {
     }
   }
   EXPECT_TRUE(refresh_connectivity(cand, base, dirty) == connectivity_of(cand));
+}
+
+/// Connectivity with std::set rows, built the way it was before rows
+/// became sorted vectors: the oracle for row contents and order.
+struct SetConnectivity {
+  std::vector<std::vector<std::set<int>>> fu_port_srcs;
+  std::vector<std::vector<std::set<int>>> child_port_srcs;
+  std::vector<std::set<SourceKey>> reg_srcs;
+};
+
+SetConnectivity set_oracle(const Datapath& dp) {
+  SetConnectivity c;
+  c.fu_port_srcs.resize(dp.fus.size());
+  c.child_port_srcs.resize(dp.children.size());
+  c.reg_srcs.resize(dp.regs.size());
+  for (std::size_t b = 0; b < dp.behaviors.size(); ++b) {
+    const BehaviorImpl& bi = dp.behaviors[b];
+    for (std::size_t i = 0; i < bi.invs.size(); ++i) {
+      const UnitRef u = bi.invs[i].unit;
+      const std::vector<int> ins =
+          dp.inv_input_edges(static_cast<int>(b), static_cast<int>(i));
+      auto& ports = u.kind == UnitRef::Kind::Fu
+                        ? c.fu_port_srcs[static_cast<std::size_t>(u.idx)]
+                        : c.child_port_srcs[static_cast<std::size_t>(u.idx)];
+      if (ports.size() < ins.size()) ports.resize(ins.size());
+      for (std::size_t p = 0; p < ins.size(); ++p) {
+        const int r = bi.edge_reg[static_cast<std::size_t>(ins[p])];
+        if (r >= 0) ports[p].insert(r);
+      }
+    }
+    for (const Edge& e : bi.dfg->edges()) {
+      const int r = bi.edge_reg[static_cast<std::size_t>(e.id)];
+      if (r < 0) continue;
+      SourceKey k{3, e.src.port, 0};
+      if (e.src.node != kPrimaryIn) {
+        const UnitRef u =
+            bi.invs[static_cast<std::size_t>(bi.inv_of(e.src.node))].unit;
+        k = u.kind == UnitRef::Kind::Fu ? SourceKey{1, u.idx, 0}
+                                        : SourceKey{2, u.idx, e.src.port};
+      }
+      c.reg_srcs[static_cast<std::size_t>(r)].insert(k);
+    }
+  }
+  return c;
+}
+
+/// Every row of `c` is strictly ascending and holds exactly the oracle's
+/// set.
+void expect_rows_match(const Connectivity& c, const SetConnectivity& o,
+                       const std::string& where) {
+  auto same = [](const auto& row, const auto& set) {
+    const auto not_ascending = [](const auto& a, const auto& b) { return !(a < b); };
+    return std::adjacent_find(row.begin(), row.end(), not_ascending) == row.end() &&
+           std::equal(row.begin(), row.end(), set.begin(), set.end());
+  };
+  auto ports_match = [&](const auto& got, const auto& want, const char* kind) {
+    ASSERT_EQ(got.size(), want.size()) << where << " " << kind;
+    for (std::size_t u = 0; u < got.size(); ++u) {
+      ASSERT_EQ(got[u].size(), want[u].size()) << where << " " << kind << u;
+      for (std::size_t p = 0; p < got[u].size(); ++p) {
+        EXPECT_TRUE(same(got[u][p], want[u][p]))
+            << where << " " << kind << u << " port " << p;
+      }
+    }
+  };
+  ports_match(c.fu_port_srcs, o.fu_port_srcs, "fu");
+  ports_match(c.child_port_srcs, o.child_port_srcs, "child");
+  ASSERT_EQ(c.reg_srcs.size(), o.reg_srcs.size()) << where;
+  for (std::size_t r = 0; r < c.reg_srcs.size(); ++r) {
+    EXPECT_TRUE(same(c.reg_srcs[r], o.reg_srcs[r])) << where << " reg " << r;
+  }
+}
+
+/// Random sharing on behavior 0 of `dp`: unit merges (onto units able to
+/// execute the invocation), child merges (same behavior), register
+/// merges, and now and then a split onto an appended unit or register.
+void random_rebind(Datapath& dp, const Library& lib, Rng& rng) {
+  BehaviorImpl& bi = dp.behaviors[0];
+  for (int m = static_cast<int>(rng.below(4)); m > 0; --m) {
+    Invocation& inv = bi.invs[rng.below(bi.invs.size())];
+    const Node& n = bi.dfg->node(inv.nodes.front());
+    if (inv.unit.kind == UnitRef::Kind::Fu) {
+      const int to = static_cast<int>(rng.below(dp.fus.size()));
+      if (inv.nodes.size() == 1 &&
+          lib.fu(dp.fus[static_cast<std::size_t>(to)].type).supports(n.op)) {
+        inv.unit.idx = to;
+      }
+    } else {
+      const int to = static_cast<int>(rng.below(dp.children.size()));
+      if (dp.children[static_cast<std::size_t>(to)].impl->find_behavior(
+              n.behavior) >= 0) {
+        inv.unit.idx = to;
+      }
+    }
+  }
+  for (int m = static_cast<int>(rng.below(4)); m > 0 && !dp.regs.empty(); --m) {
+    int& r = bi.edge_reg[rng.below(bi.edge_reg.size())];
+    if (r >= 0) r = static_cast<int>(rng.below(dp.regs.size()));
+  }
+  if (rng.below(3) == 0) {
+    Invocation& inv = bi.invs[rng.below(bi.invs.size())];
+    if (inv.unit.kind == UnitRef::Kind::Fu) {
+      dp.fus.push_back(dp.fus[static_cast<std::size_t>(inv.unit.idx)]);
+      inv.unit.idx = static_cast<int>(dp.fus.size()) - 1;
+    }
+  }
+  if (rng.below(3) == 0) {
+    int& r = bi.edge_reg[rng.below(bi.edge_reg.size())];
+    if (r >= 0) {
+      dp.regs.push_back({});
+      r = static_cast<int>(dp.regs.size()) - 1;
+    }
+  }
+  dp.invalidate_fingerprint();
+}
+
+TEST(RefreshConnectivity, SortedRowsMatchSetOracleOnRandomBindings) {
+  const Library lib = default_library();
+  // Random flat DFGs, plus two bundled hierarchical designs whose child
+  // rows and child-output register sources the flat ones never produce.
+  std::vector<Benchmark> benches;
+  benches.push_back(make_benchmark("iir", lib));
+  benches.push_back(make_benchmark("hier_paulin", lib));
+  for (std::uint64_t seed = 1; seed <= 42; ++seed) {
+    Design random;
+    const Design* design = &random;
+    const ComplexLibrary* clib = nullptr;
+    if (seed <= benches.size()) {
+      design = &benches[seed - 1].design;
+      clib = &benches[seed - 1].clib;
+    } else {
+      random.add_behavior(
+          testing_support::random_dfg(seed, 5 + static_cast<int>(seed % 12)));
+      random.set_top(random.behavior_names().front());
+      random.validate();
+    }
+    SynthContext cx;
+    cx.design = design;
+    cx.lib = &lib;
+    cx.clib = clib;
+    cx.pt = kRef;
+    cx.deadline = kNoDeadline;
+    Rng rng(seed * 104729);
+    Datapath base = initial_solution(design->top(), design->top_name(), cx);
+    random_rebind(base, lib, rng);
+    base.prune_unused();
+    const Connectivity base_conn = connectivity_of(base);
+    const SetConnectivity before = set_oracle(base);
+    const std::string where = "seed " + std::to_string(seed);
+    expect_rows_match(base_conn, before, where);
+    for (int trial = 0; trial < 6; ++trial) {
+      Datapath cand = base;
+      random_rebind(cand, lib, rng);
+      const SetConnectivity after = set_oracle(cand);
+      // A complete hint -- every row whose sources changed -- plus rows
+      // that did not change and indices out of range, which are harmless.
+      DirtyRegion dirty;
+      auto changed = [](const auto& b, const auto& a, std::vector<int>& out) {
+        for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
+          if (a[i] != b[i]) out.push_back(static_cast<int>(i));
+        }
+      };
+      changed(before.fu_port_srcs, after.fu_port_srcs, dirty.fus);
+      changed(before.child_port_srcs, after.child_port_srcs, dirty.children);
+      changed(before.reg_srcs, after.reg_srcs, dirty.regs);
+      if (!cand.fus.empty()) {
+        dirty.fus.push_back(static_cast<int>(rng.below(cand.fus.size())));
+      }
+      if (!cand.regs.empty()) {
+        dirty.regs.push_back(static_cast<int>(rng.below(cand.regs.size())));
+      }
+      dirty.regs.push_back(-1);
+      dirty.fus.push_back(static_cast<int>(cand.fus.size()) + 3);
+      const Connectivity got = refresh_connectivity(cand, base_conn, dirty);
+      expect_rows_match(got, after, where + " trial " + std::to_string(trial));
+      EXPECT_TRUE(got == connectivity_of(cand)) << where << " trial " << trial;
+    }
+  }
 }
 
 // ---- TemplateCache ------------------------------------------------------

@@ -222,8 +222,7 @@ TEST(Fingerprint, ChangesOnChildMutation) {
 TEST(Fingerprint, ScheduleStateIsPartOfTheIdentity) {
   FlatFixture f;
   Datapath dp2 = f.dp;
-  dp2.behaviors[0].scheduled = false;
-  dp2.behaviors[0].inv_start.clear();
+  dp2.behaviors[0].unschedule();
   dp2.invalidate_fingerprint();
   EXPECT_NE(dp2.fingerprint(), f.dp.fingerprint());
   EXPECT_EQ(dp2.fingerprint(), dp2.fingerprint_scratch());

@@ -1,7 +1,8 @@
 // Differential tests of the production scheduler against the reference
-// scheduler in sched_oracle.h: equal start times, makespans, verdicts and
-// failure reasons, and equal ALAP starts, on the bundled designs, on the
-// candidates one move pass evaluates, and on random bindings.
+// scheduler in sched_oracle.h: equal start times, makespans, stored
+// profiles, verdicts and failure reasons, and equal ALAP starts, on the
+// bundled designs, on the candidates one move pass evaluates, and on
+// random bindings.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,6 +11,7 @@
 
 #include "benchmarks/benchmarks.h"
 #include "dfg/flatten.h"
+#include "profile_oracle.h"
 #include "random_dfg.h"
 #include "sched/scheduler.h"
 #include "sched_oracle.h"
@@ -20,6 +22,8 @@ namespace hsyn {
 namespace {
 
 using testing_support::oracle_alap_starts;
+using testing_support::oracle_edge_ready_time;
+using testing_support::oracle_profile;
 using testing_support::oracle_schedule_datapath;
 
 const OpPoint kRef{5.0, 20.0};
@@ -35,6 +39,10 @@ void expect_same_schedules(const Datapath& a, const Datapath& b,
     EXPECT_EQ(x.scheduled, y.scheduled) << where << " behavior " << k;
     EXPECT_EQ(x.inv_start, y.inv_start) << where << " behavior " << k;
     EXPECT_EQ(x.makespan, y.makespan) << where << " behavior " << k;
+    if (x.scheduled && y.scheduled) {
+      EXPECT_EQ(x.profile, y.profile) << where << " behavior " << k;
+      EXPECT_EQ(x.sched_pt, y.sched_pt) << where << " behavior " << k;
+    }
   }
   ASSERT_EQ(a.children.size(), b.children.size()) << where;
   for (std::size_t c = 0; c < a.children.size(); ++c) {
@@ -271,6 +279,67 @@ TEST(SchedOracle, EveryCandidateOfOneMovePass) {
   }
 }
 
+/// Every scheduled behavior of `dp` (recursively) stores the profile the
+/// recursive oracle computes, and edge_ready_time agrees with the oracle
+/// on every edge.
+void expect_stored_profiles_match(const Datapath& dp, const Library& lib,
+                                  const OpPoint& pt, const std::string& where) {
+  for (std::size_t b = 0; b < dp.behaviors.size(); ++b) {
+    const BehaviorImpl& bi = dp.behaviors[b];
+    if (!bi.scheduled) continue;
+    const int bb = static_cast<int>(b);
+    EXPECT_EQ(dp.profile(bb, lib, pt), oracle_profile(dp, bb, lib, pt))
+        << where << " behavior " << b;
+    EXPECT_EQ(bi.makespan, dp.profile(bb, lib, pt).makespan()) << where;
+    for (const Edge& e : bi.dfg->edges()) {
+      if (e.src.node != kPrimaryIn && e.src.node < 0) continue;
+      EXPECT_EQ(dp.edge_ready_time(bb, e.id, lib, pt),
+                oracle_edge_ready_time(dp, bb, e.id, lib, pt))
+          << where << " behavior " << b << " edge " << e.id;
+    }
+  }
+  for (std::size_t c = 0; c < dp.children.size(); ++c) {
+    expect_stored_profiles_match(*dp.children[c].impl, lib, pt,
+                                 where + "/child" + std::to_string(c));
+  }
+}
+
+TEST(Datapath, StoredProfileMatchesOracle) {
+  std::vector<std::string> names = benchmark_names();
+  names.push_back("fir16");
+  names.push_back("dct2d");
+  for (const std::string& name : names) {
+    for (const Objective obj : {Objective::Power, Objective::Area}) {
+      for (const bool flattened : {false, true}) {
+        for (const OpPoint& pt : {kRef, kScaled}) {
+          Prepared p(name, obj, flattened, pt);
+          const std::string where =
+              name + "/" + objective_name(obj) + (flattened ? "/flat" : "/hier") +
+              "/vdd" + std::to_string(pt.vdd);
+          ASSERT_TRUE(schedule_datapath(p.dp, p.lib, pt, kNoDeadline).ok) << where;
+          expect_stored_profiles_match(p.dp, p.lib, pt, where);
+        }
+      }
+    }
+  }
+  // Every candidate of one move pass, schedulable or not: a candidate
+  // that misses its deadline still keeps the schedule it was given.
+  for (const std::string name : {"hier_paulin", "iir"}) {
+    for (const bool flattened : {false, true}) {
+      Prepared p(name, Objective::Power, flattened, kRef);
+      const SchedResult base = schedule_datapath(p.dp, p.lib, kRef, kNoDeadline);
+      ASSERT_TRUE(base.ok) << name;
+      std::vector<Datapath> cands = move_pass_candidates(p.dp, p.lib);
+      for (std::size_t k = 0; k < cands.size(); ++k) {
+        schedule_datapath(cands[k], p.lib, kRef, base.makespan * 2);
+        expect_stored_profiles_match(
+            cands[k], p.lib, kRef,
+            name + (flattened ? "/flat" : "/hier") + "/cand" + std::to_string(k));
+      }
+    }
+  }
+}
+
 TEST(SchedOracle, RandomSharedBindings) {
   // Random DFGs with random unit and register sharing: many bindings are
   // infeasible (register conflicts, cyclic orderings, missed deadlines),
@@ -495,7 +564,7 @@ TEST(SchedOracle, ChildReadsOneEdgeOnTwoPorts) {
   ASSERT_EQ(dp.children.size(), 1u);
   BehaviorImpl& cb = dp.mut_child(0).behaviors[0];
   cb.input_arrival = {0, 3};
-  cb.scheduled = false;
+  cb.unschedule();
   BehaviorImpl& bi = dp.behaviors[0];
   bi.edge_reg[static_cast<std::size_t>(v)] = bi.edge_reg[static_cast<std::size_t>(u)];
   dp.prune_unused();

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "obs/ledger.h"
 #include "obs/telemetry.h"
 #include "serve/client.h"
 #include "serve/framing.h"
@@ -308,6 +309,32 @@ TEST(ServeEngine, CacheBudgetCapsTheJobsCharge) {
   const JobOutcome out = results.wait(id);
   ASSERT_TRUE(out.ok) << out.error;
   EXPECT_LE(out.cache_budget_charged, std::uint64_t{1} << 20);
+}
+
+TEST(ServeEngine, LedgerJobLeavesTheLedgerAsItFoundIt) {
+  obs::MoveLedger& led = obs::MoveLedger::instance();
+  led.set_enabled(false);
+  led.reset();
+  JobEngine engine(1);
+  Results results;
+  auto done = [&](std::uint64_t j, const JobOutcome& out) { results.add(j, out); };
+  JobSpec with_ledger = bench_spec("test1", 42);
+  with_ledger.want_ledger = true;
+  const std::uint64_t a = engine.submit(std::move(with_ledger), nullptr, done);
+  const JobOutcome out_a = results.wait(a);
+  ASSERT_TRUE(out_a.ok) << out_a.error;
+  EXPECT_GT(out_a.ledger_attempts, 0u);
+  EXPECT_FALSE(led.enabled());
+  const std::size_t records = led.merged().size();
+
+  // A plain job afterwards records nothing.
+  const std::uint64_t b = engine.submit(bench_spec("test1", 43), nullptr, done);
+  const JobOutcome out_b = results.wait(b);
+  ASSERT_TRUE(out_b.ok) << out_b.error;
+  EXPECT_EQ(led.merged(b).size(), 0u);
+  EXPECT_EQ(led.merged().size(), records);
+  engine.shutdown();
+  led.reset();
 }
 
 // The tentpole guarantee: >= 4 jobs in flight on one engine, every
