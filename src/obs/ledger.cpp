@@ -64,7 +64,23 @@ struct LedgerState {
   std::map<std::uint64_t, GroupMeta> group_meta;
   /// Per-strategy group sequence counters (portfolio explorers).
   std::map<std::int32_t, std::uint64_t> strategy_seq;
+  /// Per finished, not yet placed point task: the groups it drew, and
+  /// whether any of them was drawn while the ledger was recording.
+  struct PointSeq {
+    std::uint64_t groups = 0;
+    bool recorded = false;
+  };
+  std::map<std::uint64_t, PointSeq> point_seq;
+  /// Per placed point task (by wrapped tag): the first global group id
+  /// of its block. Only tasks that recorded are kept.
+  std::map<std::uint64_t, std::uint64_t> point_base;
 };
+
+/// Point tags wrap at 2^23 so they fit between kStrategyShift and
+/// kPointBit; only tags placed since the last reset() are looked up.
+constexpr std::uint64_t kPointTagMask = (std::uint64_t{1} << 23) - 1;
+constexpr std::uint64_t kSeqMask =
+    (std::uint64_t{1} << MoveLedger::kStrategyShift) - 1;
 
 LedgerState& state() {
   static LedgerState* s = new LedgerState();
@@ -91,6 +107,11 @@ struct Tag {
   int pass = 0;
   int depth = 0;
   std::int32_t strategy = -1;
+  std::int64_t point = -1;
+  /// The running point task's group sequence (a point task runs on one
+  /// thread, so it needs no lock).
+  std::uint64_t point_groups = 0;
+  bool point_recorded = false;
 };
 
 thread_local Tag t_tag;
@@ -126,7 +147,10 @@ void MoveLedger::reset() {
   s.marks.clear();
   s.group_meta.clear();
   s.strategy_seq.clear();
+  s.point_seq.clear();
+  s.point_base.clear();
   next_group_.store(0, std::memory_order_relaxed);
+  next_point_.store(0, std::memory_order_relaxed);
 }
 
 std::uint64_t MoveLedger::dropped() const {
@@ -141,25 +165,60 @@ std::uint64_t MoveLedger::dropped() const {
 }
 
 std::uint64_t MoveLedger::begin_group() {
-  // Capture the enumerating thread's improvement context here, where it
-  // is authoritative (see group_meta).
-  LedgerState& s = state();
-  std::lock_guard<std::mutex> lock(s.mu);
   const std::int32_t strat = StrategyScope::current();
+  const bool on = enabled();
+  // The enumerating thread's improvement context, captured here where
+  // it is authoritative (see group_meta); kept only while recording.
+  const GroupMeta meta{ImproveScope::current_pass(),
+                       ResynthScope::current_depth(), strat};
+  LedgerState& s = state();
   std::uint64_t id;
-  if (strat < 0) {
-    // Solo path: one process-global serial sequence, exactly as before.
-    id = next_group_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  if (strat >= 0) {
     // Portfolio explorer: the strategy's own sequence, so the id is a
     // pure function of the strategy's deterministic trajectory no
     // matter how explorers interleave.
+    std::lock_guard<std::mutex> lock(s.mu);
     id = (static_cast<std::uint64_t>(strat) + 1) << kStrategyShift |
          s.strategy_seq[strat]++;
+    if (on) s.group_meta[id] = meta;
+    return id;
   }
-  s.group_meta[id] = {ImproveScope::current_pass(),
-                      ResynthScope::current_depth(), strat};
+  if (t_tag.point >= 0) {
+    // Point task: its own sequence until place_points() gives it the
+    // block of the global sequence a serial run would have used.
+    id = kPointBit |
+         (static_cast<std::uint64_t>(t_tag.point) & kPointTagMask)
+             << kStrategyShift |
+         t_tag.point_groups++;
+    t_tag.point_recorded = t_tag.point_recorded || on;
+  } else {
+    // Solo path: one process-global serial sequence.
+    id = next_group_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (on) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.group_meta[id] = meta;
+  }
   return id;
+}
+
+std::uint64_t MoveLedger::begin_points(int n) {
+  return next_point_.fetch_add(static_cast<std::uint64_t>(n),
+                               std::memory_order_relaxed);
+}
+
+void MoveLedger::place_points(std::uint64_t first, int n) {
+  LedgerState& s = state();
+  std::lock_guard<std::mutex> lock(s.mu);
+  for (std::uint64_t tag = first; tag < first + static_cast<std::uint64_t>(n);
+       ++tag) {
+    const auto it = s.point_seq.find(tag);
+    if (it == s.point_seq.end()) continue;  // the task drew no group
+    const std::uint64_t base =
+        next_group_.fetch_add(it->second.groups, std::memory_order_relaxed);
+    if (it->second.recorded) s.point_base[tag & kPointTagMask] = base;
+    s.point_seq.erase(it);
+  }
 }
 
 void MoveLedger::record(MoveRecord rec) {
@@ -185,6 +244,7 @@ std::vector<MoveRecord> MoveLedger::merged(std::uint64_t job) const {
   std::vector<MoveRecord> out;
   std::vector<Mark> marks;
   std::map<std::uint64_t, GroupMeta> group_meta;
+  std::map<std::uint64_t, std::uint64_t> point_base;
   {
     std::lock_guard<std::mutex> lock(s.mu);
     for (const auto& buf : s.bufs) {
@@ -195,12 +255,12 @@ std::vector<MoveRecord> MoveLedger::merged(std::uint64_t job) const {
     }
     marks = s.marks;
     group_meta = s.group_meta;
+    point_base = s.point_base;
   }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const MoveRecord& a, const MoveRecord& b) {
-                     return a.group != b.group ? a.group < b.group
-                                               : a.cand < b.cand;
-                   });
+  const auto by_key = [](const MoveRecord& a, const MoveRecord& b) {
+    return a.group != b.group ? a.group < b.group : a.cand < b.cand;
+  };
+  std::stable_sort(out.begin(), out.end(), by_key);
   // Pass/depth/strategy come from the serial enumeration context, not
   // from whichever worker happened to evaluate the candidate.
   for (MoveRecord& r : out) {
@@ -223,6 +283,18 @@ std::vector<MoveRecord> MoveLedger::merged(std::uint64_t job) const {
       it->status = m.status;
     }
   }
+  // Point-task groups move into the global block their task was placed
+  // at (see place_points); then the order is the serial run's.
+  bool renumbered = false;
+  for (MoveRecord& r : out) {
+    if ((r.group & kPointBit) == 0) continue;
+    const auto it =
+        point_base.find(r.group >> kStrategyShift & kPointTagMask);
+    if (it == point_base.end()) continue;
+    r.group = it->second + (r.group & kSeqMask);
+    renumbered = true;
+  }
+  if (renumbered) std::stable_sort(out.begin(), out.end(), by_key);
   return out;
 }
 
@@ -403,6 +475,29 @@ StrategyScope::StrategyScope(std::int32_t strategy) : prev_(t_tag.strategy) {
 StrategyScope::~StrategyScope() { t_tag.strategy = prev_; }
 bool StrategyScope::active() { return t_tag.strategy >= 0; }
 std::int32_t StrategyScope::current() { return t_tag.strategy; }
+
+PointScope::PointScope(std::uint64_t tag)
+    : prev_(t_tag.point),
+      prev_groups_(t_tag.point_groups),
+      prev_recorded_(t_tag.point_recorded) {
+  t_tag.point = static_cast<std::int64_t>(tag);
+  t_tag.point_groups = 0;
+  t_tag.point_recorded = false;
+}
+
+PointScope::~PointScope() {
+  if (t_tag.point_groups != 0) {
+    // Hand the task's sequence to place_points().
+    LedgerState& s = state();
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.point_seq[static_cast<std::uint64_t>(t_tag.point)] = {
+        t_tag.point_groups, t_tag.point_recorded};
+  }
+  t_tag.point = prev_;
+  t_tag.point_groups = prev_groups_;
+  t_tag.point_recorded = prev_recorded_;
+}
+bool PointScope::active() { return t_tag.point >= 0; }
 
 ResynthScope::ResynthScope() : prev_depth_(t_tag.depth) { ++t_tag.depth; }
 ResynthScope::~ResynthScope() { t_tag.depth = prev_depth_; }

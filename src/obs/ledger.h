@@ -29,6 +29,15 @@
 // stamped with the allocating strategy (-1 outside any scope), exported
 // as the `strategy` JSONL/CSV column.
 //
+// A job's operating-point searches run concurrently as pool tasks
+// (synth/search_core.cpp), each one serial in itself. Each task runs
+// under a PointScope: outside any StrategyScope, begin_group() then
+// allocates from the task's own sequence (kPointBit | tag <<
+// kStrategyShift | seq). Once the tasks are done, place_points() hands
+// each task, in the serial (vdd, clock) order, the block of global ids
+// it would have drawn running alone, and merged() renumbers the records
+// into that block -- so the exported ids equal those of a serial run.
+//
 // eval_us and cache_hits/misses are the exception: the evaluation
 // caches are shared, so which candidate pays a miss depends on arrival
 // order. They are exported for profiling but excluded from the
@@ -106,6 +115,10 @@ class MoveLedger {
   /// merged ledger needs.
   static constexpr int kStrategyShift = 40;
 
+  /// Marks point-task group ids (see PointScope); their tag sits at
+  /// kStrategyShift and wraps well below this bit.
+  static constexpr std::uint64_t kPointBit = std::uint64_t{1} << 63;
+
   static MoveLedger& instance();
 
   MoveLedger(const MoveLedger&) = delete;
@@ -125,10 +138,21 @@ class MoveLedger {
 
   /// Allocate the id of the next enumeration group. Must be called from
   /// strategy-serial code (a generator's enumeration site): outside any
-  /// StrategyScope the total order of calls is what makes ledger output
-  /// thread-count independent; inside one, the per-strategy sequence
-  /// counter is, so concurrent explorers may enumerate freely.
+  /// StrategyScope or PointScope the total order of calls is what makes
+  /// ledger output thread-count independent; inside one, the
+  /// per-strategy or per-point sequence counter is, so concurrent
+  /// explorers and point tasks may enumerate freely.
   std::uint64_t begin_group();
+
+  /// Reserve `n` consecutive point-task tags (see PointScope) and
+  /// return the first.
+  std::uint64_t begin_points(int n);
+
+  /// Give the point tasks [first, first + n), in that order, the global
+  /// group ids each one would have drawn serially: the next block of the
+  /// global sequence, one task after another. Call once every task of
+  /// the block has finished.
+  void place_points(std::uint64_t first, int n);
 
   /// Append one record to the calling thread's buffer (lock-free with
   /// respect to other recording threads).
@@ -175,6 +199,7 @@ class MoveLedger {
 
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> next_group_{0};
+  std::atomic<std::uint64_t> next_point_{0};
 };
 
 /// RAII tag: "records produced on this thread belong to candidate
@@ -234,6 +259,27 @@ class StrategyScope {
 
  private:
   std::int32_t prev_;
+};
+
+/// RAII point-task context: the search of one (vdd, clock) point, run
+/// as a pool task concurrently with the job's other points. Outside a
+/// StrategyScope, begin_group() on this thread allocates from the
+/// point's own sequence, which the destructor hands to
+/// MoveLedger::place_points. Thread-local.
+class PointScope {
+ public:
+  explicit PointScope(std::uint64_t tag);
+  ~PointScope();
+  PointScope(const PointScope&) = delete;
+  PointScope& operator=(const PointScope&) = delete;
+
+  /// True when the calling thread is inside a PointScope.
+  static bool active();
+
+ private:
+  std::int64_t prev_;
+  std::uint64_t prev_groups_;
+  bool prev_recorded_;
 };
 
 /// RAII resynthesis-depth context: move B wraps its nested improve()

@@ -3,8 +3,9 @@
 // A CancelToken is a small shared flag a driver (the serve daemon's job
 // engine, or the CLI's signal handler) trips to ask a running synthesis
 // to stop. The synthesis hot loops never poll it; only the *serial*
-// control points do -- the improvement engine between moves and passes,
-// the synthesizer between operating points -- so cancellation costs
+// control points do -- the improvement engine between moves and passes
+// (in each concurrently running operating-point task), the synthesizer
+// between probed clocks -- so cancellation costs
 // nothing until it happens and a cancelled run unwinds via the Cancelled
 // exception from a well-defined boundary (no torn datapaths escape:
 // everything under the unwound frames is owned by them).

@@ -33,10 +33,14 @@ inline int chunk_begin(int n, int k, int c) {
   return static_cast<int>((static_cast<long long>(n) * c) / k);
 }
 
-/// Number of chunks used for an n-element region on the current pool.
+/// Number of chunks used for an n-element region on the current pool:
+/// one inside a region, where a nested region runs inline anyway (and
+/// asking for the global pool would take its lock on every call).
 inline int num_chunks(int n) {
+  if (n < 1) return 0;
+  if (ThreadPool::in_region()) return 1;
   const int k = pool().threads();
-  return n < k ? (n < 1 ? 0 : n) : k;
+  return n < k ? n : k;
 }
 
 /// Run body(i) for every i in [0, n). body must only write state owned
@@ -47,11 +51,16 @@ void parallel_for(int n, Body&& body) {
   if (n <= 0) return;
   const int k = num_chunks(n);
   detail::count_tasks(n);
-  pool().run(k, [&](int c) {
+  const auto chunk = [&](int c) {
     const int lo = chunk_begin(n, k, c);
     const int hi = chunk_begin(n, k, c + 1);
     for (int i = lo; i < hi; ++i) body(i);
-  });
+  };
+  if (k <= 1) {
+    ThreadPool::run_inline(k, chunk);
+  } else {
+    pool().run(k, chunk);
+  }
 }
 
 /// Map fn over [0, n) into a vector in index order.

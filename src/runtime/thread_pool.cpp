@@ -1,6 +1,9 @@
 #include "runtime/thread_pool.h"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -19,6 +22,19 @@ std::atomic<std::uint64_t> g_inline_regions{0};
 std::atomic<std::uint64_t> g_chunks{0};
 std::atomic<std::uint64_t> g_tasks{0};
 std::atomic<std::uint64_t> g_max_region_chunks{0};
+std::atomic<std::uint64_t> g_busy_inline_regions{0};
+
+/// Busy time per lane; lanes past the last slot share it.
+constexpr int kLaneSlots = 64;
+std::array<std::atomic<std::uint64_t>, kLaneSlots> g_lane_busy_ns{};
+std::atomic<int> g_lanes{0};  ///< most lanes of any pool built so far
+
+std::uint64_t steady_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 struct RegionGuard {
   bool prev;
@@ -32,9 +48,14 @@ bool ThreadPool::in_region() { return tl_in_region; }
 
 ThreadPool::ThreadPool(int threads) {
   const int workers = threads > 1 ? threads - 1 : 0;
+  int lanes = g_lanes.load(std::memory_order_relaxed);
+  while (lanes < workers + 1 &&
+         !g_lanes.compare_exchange_weak(lanes, workers + 1,
+                                        std::memory_order_relaxed)) {
+  }
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i + 1); });
   }
 }
 
@@ -47,14 +68,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-void ThreadPool::drain_region() {
+void ThreadPool::drain_region(int lane) {
   // Called with mu_ held; claims and executes chunks until none remain.
   std::unique_lock<std::mutex> lock(mu_, std::adopt_lock);
+  std::atomic<std::uint64_t>& busy_ns =
+      g_lane_busy_ns[static_cast<std::size_t>(std::min(lane, kLaneSlots - 1))];
   while (next_chunk_ < job_chunks_) {
     const int c = next_chunk_++;
     const std::uint64_t owner = job_owner_;
     ++busy_;
     lock.unlock();
+    const std::uint64_t t0 = steady_ns();
     {
       RegionGuard guard;
       // Attribute this lane's work to the submitting job (per-job ledger
@@ -66,6 +90,7 @@ void ThreadPool::drain_region() {
         errors_[static_cast<std::size_t>(c)] = std::current_exception();
       }
     }
+    busy_ns.fetch_add(steady_ns() - t0, std::memory_order_relaxed);
     lock.lock();
     --busy_;
     if (busy_ == 0 && next_chunk_ >= job_chunks_) cv_done_.notify_all();
@@ -73,7 +98,7 @@ void ThreadPool::drain_region() {
   lock.release();  // caller keeps holding mu_
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(int lane) {
   std::unique_lock<std::mutex> lock(mu_);
   std::uint64_t seen = 0;
   for (;;) {
@@ -83,23 +108,35 @@ void ThreadPool::worker_loop() {
     });
     if (stop_) return;
     seen = generation_;
-    drain_region();
+    drain_region(lane);
   }
+}
+
+void ThreadPool::run_inline(int nchunks, const std::function<void(int)>& fn) {
+  if (nchunks <= 0) return;
+  detail::count_region(nchunks, /*inline_run=*/true);
+  RegionGuard guard;
+  for (int c = 0; c < nchunks; ++c) fn(c);
 }
 
 void ThreadPool::run(int nchunks, const std::function<void(int)>& fn) {
   if (nchunks <= 0) return;
   if (workers_.empty() || nchunks == 1 || tl_in_region) {
-    detail::count_region(nchunks, /*inline_run=*/true);
-    RegionGuard guard;
-    for (int c = 0; c < nchunks; ++c) fn(c);
+    run_inline(nchunks, fn);
     return;
   }
 
-  // Serialize whole regions across concurrent submitters: the serve
-  // daemon's job sessions all share this pool, and the region state
-  // below (job_, next_chunk_, errors_) describes exactly one region.
-  std::lock_guard<std::mutex> submit(submit_mu_);
+  // The region state below (job_, next_chunk_, errors_) describes
+  // exactly one region. The serve daemon's job sessions all share this
+  // pool: a submitter that finds another region in progress runs its
+  // own inline rather than stall its job behind a region that may last
+  // a whole search.
+  std::unique_lock<std::mutex> submit(submit_mu_, std::try_to_lock);
+  if (!submit.owns_lock()) {
+    g_busy_inline_regions.fetch_add(1, std::memory_order_relaxed);
+    run_inline(nchunks, fn);
+    return;
+  }
   std::unique_lock<std::mutex> lock(mu_);
   job_ = &fn;
   job_owner_ = obs::current_job();
@@ -109,7 +146,7 @@ void ThreadPool::run(int nchunks, const std::function<void(int)>& fn) {
   ++generation_;
   cv_work_.notify_all();
 
-  drain_region();  // the caller is a lane too
+  drain_region(0);  // the caller is a lane too
   cv_done_.wait(lock, [&] { return next_chunk_ >= job_chunks_ && busy_ == 0; });
   job_ = nullptr;
 
@@ -133,13 +170,23 @@ std::unique_ptr<ThreadPool>& pool_slot() {
   // counters as the "runtime" metrics source.
   static std::unique_ptr<ThreadPool> slot = [] {
     obs::Registry::instance().register_source("runtime", [] {
-      return std::map<std::string, std::uint64_t>{
+      std::map<std::string, std::uint64_t> out{
           {"regions", g_regions.load(std::memory_order_relaxed)},
           {"inline_regions", g_inline_regions.load(std::memory_order_relaxed)},
+          {"busy_inline_regions",
+           g_busy_inline_regions.load(std::memory_order_relaxed)},
           {"chunks", g_chunks.load(std::memory_order_relaxed)},
           {"tasks", g_tasks.load(std::memory_order_relaxed)},
           {"max_region_chunks",
            g_max_region_chunks.load(std::memory_order_relaxed)}};
+      const int lanes =
+          std::min(g_lanes.load(std::memory_order_relaxed), kLaneSlots);
+      for (int i = 0; i < lanes; ++i) {
+        out["lane" + std::to_string(i) + "_busy_ns"] =
+            g_lane_busy_ns[static_cast<std::size_t>(i)].load(
+                std::memory_order_relaxed);
+      }
+      return out;
     });
     return std::unique_ptr<ThreadPool>();
   }();

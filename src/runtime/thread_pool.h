@@ -11,7 +11,9 @@
 //      in the work and blocks until the region completes. Nested
 //      regions (a worker task reaching another parallel_for) execute
 //      inline on the calling thread, so recursion -- e.g. move B's
-//      nested improvement loop -- cannot deadlock the pool.
+//      nested improvement loop -- cannot deadlock the pool. A submitter
+//      that finds another region holding the pool runs its own region
+//      inline too, instead of waiting for the pool to free up.
 //   3. Exceptions propagate: the lowest-indexed chunk's exception is
 //      rethrown in the caller once the region has drained.
 //
@@ -21,8 +23,12 @@
 //
 // Every region bumps a handful of relaxed atomics, exported as the
 // "runtime" metrics source (obs::Registry) with the keys regions,
-// inline_regions, chunks, tasks and max_region_chunks. The source is
-// registered when the global pool is first configured or used.
+// inline_regions, busy_inline_regions (the inline ones that ran so
+// because another submitter held the pool), chunks, tasks,
+// max_region_chunks, and lane<i>_busy_ns: the time lane i spent running
+// chunks of pooled regions (lane 0 is the submitting thread, lanes 1..
+// the workers). The source is registered when the global pool is first
+// configured or used.
 #pragma once
 
 #include <condition_variable>
@@ -49,20 +55,27 @@ class ThreadPool {
   int threads() const { return static_cast<int>(workers_.size()) + 1; }
 
   /// Execute fn(c) for every chunk index c in [0, nchunks), distributing
-  /// chunks over the pool, and block until all complete. Runs inline
-  /// (serially, in index order) when the pool is serial, nchunks <= 1,
-  /// or the calling thread is already inside a region. The first
+  /// chunks over the pool, and block until all complete. Lanes claim
+  /// chunks in index order, one at a time, so long chunks balance
+  /// dynamically. Runs inline (serially, in index order) when the pool
+  /// is serial, nchunks <= 1, the calling thread is already inside a
+  /// region, or another submitter's region holds the pool. The first
   /// exception by chunk index is rethrown.
   ///
-  /// Concurrent submitters are safe: when several job threads reach
-  /// run() at once (the serve daemon's sessions share this pool), their
-  /// regions are serialized through a submit lock -- one region at a
-  /// time, each still deterministic in isolation, later submitters
-  /// blocking until the pool frees up. The submitting thread's
+  /// Concurrent submitters are safe and never wait on each other: when
+  /// several job threads reach run() at once (the serve daemon's
+  /// sessions share this pool), the first one takes the pool and the
+  /// others run their regions inline on their own threads. Each region
+  /// is deterministic in isolation either way. The submitting thread's
   /// obs::current_job() tag is re-applied on every lane that executes a
   /// chunk, so per-job attribution (ledger records, cache-budget
   /// charges) survives the fan-out.
   void run(int nchunks, const std::function<void(int)>& fn);
+
+  /// Run fn(c) for c in [0, nchunks) on the calling thread, in index
+  /// order, as an inline region: nested helpers see in_region() and
+  /// stay inline too. Counted as an inline region.
+  static void run_inline(int nchunks, const std::function<void(int)>& fn);
 
   /// True when the current thread is executing inside a region (worker
   /// or participating caller). Parallel helpers use this to fall back
@@ -70,15 +83,16 @@ class ThreadPool {
   static bool in_region();
 
  private:
-  void worker_loop();
-  /// Pull chunk indices until the region is exhausted.
-  void drain_region();
+  void worker_loop(int lane);
+  /// Pull chunk indices until the region is exhausted; `lane` indexes
+  /// the busy-time counters (0 = the submitter).
+  void drain_region(int lane);
 
   std::vector<std::thread> workers_;
 
-  /// Held by a submitter for the whole lifetime of its region: regions
-  /// from concurrent top-level callers run one after another instead of
-  /// corrupting each other's job state.
+  /// Held by a submitter for the whole lifetime of its region. The
+  /// region state below describes one region, so a concurrent
+  /// top-level caller that cannot take it runs inline instead.
   std::mutex submit_mu_;
 
   std::mutex mu_;

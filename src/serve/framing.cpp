@@ -10,19 +10,23 @@ namespace hsyn::serve {
 
 bool FrameReader::next(std::string* frame) {
   if (poisoned_) return false;
+  // Bytes before `scanned` hold no '\n': each read is searched once, so
+  // a frame of many reads costs linear time, not quadratic.
+  std::size_t scanned = 0;
   for (;;) {
-    const std::size_t nl = buf_.find('\n');
+    const std::size_t nl = buf_.find('\n', scanned);
     if (nl != std::string::npos && nl <= max_frame_) {
       frame->assign(buf_, 0, nl);
       buf_.erase(0, nl + 1);
       return true;
     }
+    scanned = buf_.size();
     // No terminator yet, or the completed frame itself is oversized.
     if (nl != std::string::npos || buf_.size() > max_frame_) {
       poisoned_ = true;
       return false;
     }
-    char chunk[4096];
+    char chunk[65536];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);
     if (n > 0) {
       buf_.append(chunk, static_cast<std::size_t>(n));

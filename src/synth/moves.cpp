@@ -1,6 +1,7 @@
 #include "synth/moves.h"
 
 #include <atomic>
+#include <cstring>
 
 #include "eval/engine.h"
 #include "obs/ledger.h"
@@ -10,7 +11,6 @@
 #include "power/replay.h"
 #include "rtl/cost.h"
 #include "sched/scheduler.h"
-#include "util/fmt.h"
 
 namespace hsyn {
 namespace {
@@ -40,9 +40,16 @@ void register_template_cache_stats() {
 
 }  // namespace
 
+TemplateKey::TemplateKey(std::string tmpl, std::string behavior,
+                         const OpPoint& pt)
+    : tmpl(std::move(tmpl)), behavior(std::move(behavior)) {
+  std::memcpy(&vdd_bits, &pt.vdd, sizeof vdd_bits);
+  std::memcpy(&clk_bits, &pt.clk_ns, sizeof clk_bits);
+}
+
 TemplateCache::TemplateCache() { register_template_cache_stats(); }
 
-std::shared_ptr<const Datapath> TemplateCache::get(const std::string& key) {
+std::shared_ptr<const Datapath> TemplateCache::get(const TemplateKey& key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -54,7 +61,7 @@ std::shared_ptr<const Datapath> TemplateCache::get(const std::string& key) {
   return it->second->dp;
 }
 
-void TemplateCache::put(const std::string& key,
+void TemplateCache::put(const TemplateKey& key,
                         std::shared_ptr<const Datapath> dp) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
@@ -83,9 +90,7 @@ std::size_t TemplateCache::size() const {
 std::shared_ptr<const Datapath> instantiate_scheduled(
     const ComplexLibrary::Template& t, const std::string& behavior,
     const SynthContext& cx) {
-  // %a prints the exact bits, so operating points never alias.
-  const std::string key = t.name + "/" + behavior + "/" +
-                          strf("%a/%a", cx.pt.vdd, cx.pt.clk_ns);
+  const TemplateKey key(t.name, behavior, cx.pt);
   if (auto hit = cx.template_cache->get(key)) return hit;
   // Instantiate and schedule outside the lock -- several workers may
   // build the same template concurrently, but the result is a pure

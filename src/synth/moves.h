@@ -37,10 +37,13 @@ inline const char* objective_name(Objective o) {
 }
 
 /// One progress beat from the synthesizer, delivered through
-/// SynthOptions::progress. Events fire only from serial control points
-/// of the top-level engine (never from pool workers or move B's nested
-/// improvement), so a sink needs no synchronization of its own beyond
-/// being callable from the thread that runs synthesize().
+/// SynthOptions::progress. Events come from the top-level engine's
+/// serial control points, never from move B's nested improvement. The
+/// operating points run as concurrent pool tasks, but their events are
+/// held back and delivered by the in-order fold, so the sink sees the
+/// serial run's sequence and is never called concurrently -- though
+/// possibly from a pool lane rather than the thread that runs
+/// synthesize().
 struct SynthProgress {
   enum class Stage {
     Probe,    ///< clock probing at one supply finished
@@ -99,15 +102,37 @@ struct SynthOptions {
   /// verify, so gated runs are bit-identical to ungated ones.
   bool verify_rewrites = false;
   /// Cooperative cancellation: checked at serial control points (per
-  /// improvement move, per pass, per operating point). On a cancelled
+  /// improvement move and pass inside each operating-point task, per
+  /// probed clock). On a cancelled
   /// token the engine throws runtime::Cancelled out of synthesize().
   /// Null disables the checks. Cancellation never corrupts state -- it
   /// unwinds between moves, so catching the exception is safe.
   std::shared_ptr<runtime::CancelToken> cancel;
   /// Progress sink (see SynthProgress). Null disables events. Invoked
-  /// synchronously from the engine's serial control thread only, never
-  /// from inside a parallel region or a nested (move B) improvement.
+  /// by one thread at a time, in the serial run's order: the probe
+  /// phase's and each operating point's events are replayed by the
+  /// point fold, which may run on any pool lane. Never invoked from a
+  /// nested (move B) improvement.
   std::function<void(const SynthProgress&)> progress;
+};
+
+/// What a template instance is cached under: the template, the
+/// interface behavior it serves, and the exact bit patterns of the
+/// operating point it was scheduled at (nearby clocks never alias).
+struct TemplateKey {
+  std::string tmpl;
+  std::string behavior;
+  std::uint64_t vdd_bits = 0;
+  std::uint64_t clk_bits = 0;
+
+  TemplateKey(std::string tmpl, std::string behavior, const OpPoint& pt);
+
+  friend bool operator<(const TemplateKey& a, const TemplateKey& b) {
+    if (a.vdd_bits != b.vdd_bits) return a.vdd_bits < b.vdd_bits;
+    if (a.clk_bits != b.clk_bits) return a.clk_bits < b.clk_bits;
+    if (a.tmpl != b.tmpl) return a.tmpl < b.tmpl;
+    return a.behavior < b.behavior;
+  }
 };
 
 /// Cache of library templates already instantiated and scheduled at an
@@ -125,11 +150,11 @@ class TemplateCache {
 
   /// The cached instance (shared, never copied), or null. Refreshes
   /// recency. An evicted instance stays valid while anyone holds it.
-  std::shared_ptr<const Datapath> get(const std::string& key);
+  std::shared_ptr<const Datapath> get(const TemplateKey& key);
 
   /// Insert (or refresh) `key`; evicts the least recently used entries
   /// beyond the bound.
-  void put(const std::string& key, std::shared_ptr<const Datapath> dp);
+  void put(const TemplateKey& key, std::shared_ptr<const Datapath> dp);
 
   std::size_t size() const;
 
@@ -137,13 +162,13 @@ class TemplateCache {
   static constexpr std::size_t kMaxEntries = 64;
 
   struct Entry {
-    std::string key;
+    TemplateKey key;
     std::shared_ptr<const Datapath> dp;
   };
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recently used
-  std::map<std::string, std::list<Entry>::iterator> index_;
+  std::map<TemplateKey, std::list<Entry>::iterator> index_;
 };
 
 /// Everything a move generator needs to know about the synthesis run.
@@ -156,7 +181,7 @@ struct SynthContext {
   Trace trace;       ///< typical top-level input trace
   Objective obj = Objective::Power;
   SynthOptions opts;
-  /// Shared template cache (keyed by template/behavior/operating point)
+  /// Shared template cache (keyed by TemplateKey)
   /// so move selection does not re-schedule the same template hundreds
   /// of times per pass.
   std::shared_ptr<TemplateCache> template_cache =

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <mutex>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,12 +32,61 @@ namespace {
 /// nested improvement runs at resynth depth > 0 (and, when parallelized,
 /// on pool workers inside a region), where a sink call would race and a
 /// cancel unwind would corrupt the enclosing move. A portfolio explorer
-/// *is* strategy-serial even though it runs inside the portfolio's pool
-/// region (nested regions execute inline on its lane), so an active
-/// StrategyScope re-enables the checks there.
+/// and an operating-point task *are* strategy-serial even though they
+/// run inside a pool region (nested regions execute inline on their
+/// lane), so an active StrategyScope or PointScope re-enables the
+/// checks there.
 bool at_search_top() {
   return obs::ResynthScope::current_depth() == 0 &&
-         (obs::StrategyScope::active() || !runtime::ThreadPool::in_region());
+         (obs::StrategyScope::active() || obs::PointScope::active() ||
+          !runtime::ThreadPool::in_region());
+}
+
+/// What one stretch of the search logged and reported: log text plus
+/// progress events, each at the log offset where it fired. Operating
+/// points run concurrently; their narrations are replayed in the serial
+/// order, so stderr and the progress sink see what a serial run shows.
+struct Narration {
+  std::string log;
+  std::vector<std::pair<std::size_t, SynthProgress>> events;
+
+  void replay(const SynthOptions& opts) const {
+    std::size_t at = 0;
+    for (const auto& [pos, ev] : events) {
+      log_write(std::string_view(log).substr(at, pos - at));
+      at = pos;
+      opts.progress(ev);
+    }
+    log_write(std::string_view(log).substr(at));
+  }
+};
+
+/// The narration this thread records into (null: deliver directly).
+thread_local Narration* tl_narration = nullptr;
+
+/// RAII: this thread's log lines and progress events go to `n`.
+class Narrate {
+ public:
+  explicit Narrate(Narration* n) : log_(&n->log), prev_(tl_narration) {
+    tl_narration = n;
+  }
+  ~Narrate() { tl_narration = prev_; }
+  Narrate(const Narrate&) = delete;
+  Narrate& operator=(const Narrate&) = delete;
+
+ private:
+  LogCapture log_;
+  Narration* prev_;
+};
+
+/// Deliver a progress event to the sink, or record it in the narration
+/// of the stretch this thread is running.
+void emit_progress(const SynthOptions& opts, const SynthProgress& ev) {
+  if (tl_narration != nullptr) {
+    tl_narration->events.emplace_back(tl_narration->log.size(), ev);
+  } else {
+    opts.progress(ev);
+  }
 }
 
 /// Longest path through the flattened DFG in nanoseconds, each operation
@@ -366,7 +417,7 @@ Datapath search_improve(Datapath dp, const SynthContext& cx,
       ev.cost = best_k < 0 ? cur_cost
                            : cost_of(snapshots[static_cast<std::size_t>(best_k)],
                                      pass_cx);
-      cx.opts.progress(ev);
+      emit_progress(cx.opts, ev);
     }
     if (best_k < 0) {
       // Pass_Gain <= 0. A dry warm pass only ends the warm phase (the
@@ -434,6 +485,25 @@ SearchCore::SearchCore(const Design& design, const Library& lib,
   }
 }
 
+namespace {
+
+/// One (vdd, clock) operating point: probed, picked and aligned by the
+/// serial probe phase, then searched as a pool task.
+struct PointTask {
+  enum class State { Pending, Done, Cancelled };
+  double vdd = 0;
+  double clk = 0;
+  int deadline = 0;
+  Datapath init;        ///< aligned initial solution (moved into the search)
+  Narration lead;       ///< probe-phase narration that precedes this point
+  Narration narration;  ///< the point's own search
+  State state = State::Pending;  ///< guarded by the fold mutex
+  SynthResult cand;
+  std::string cancel_reason;
+};
+
+}  // namespace
+
 SearchOutcome SearchCore::run(const SearchStrategy& strat) const {
   SearchOutcome out;
   SynthResult& best = out.result;
@@ -452,8 +522,25 @@ SearchOutcome SearchCore::run(const SearchStrategy& strat) const {
   std::vector<double> vdds = vdds_;
   if (strat.reverse_vdds) std::reverse(vdds.begin(), vdds.end());
 
-  double best_obj = std::numeric_limits<double>::max();
+  const auto context_at = [&](double vdd, double clk, int deadline) {
+    SynthContext cx;
+    cx.design = mode_ == Mode::Hierarchical ? &design_ : nullptr;
+    cx.lib = &lib_;
+    cx.clib = mode_ == Mode::Hierarchical ? clib_ : nullptr;
+    cx.pt = {vdd, clk};
+    cx.deadline = deadline;
+    cx.obj = obj_;
+    cx.opts = opts;
+    return cx;
+  };
+
+  // Probe phase, serial: pick and align every (vdd, clock) point in the
+  // order the points are folded below. Its narration is held back and
+  // replayed ahead of the point it precedes.
+  std::vector<PointTask> points;
+  Narration pending;
   try {
+    const Narrate narrate(&pending);
     for (const double vdd : vdds) {
       // Probe every candidate clock with a cheap feasibility check (build
       // the fully parallel initial solution and schedule it), then run the
@@ -477,14 +564,7 @@ SearchOutcome SearchCore::run(const SearchStrategy& strat) const {
           // mean a needlessly fine clock whose FSM and register clock tree
           // dwarf the datapath (real designs re-time the clock instead).
           if (deadline > 96) continue;
-          SynthContext cx;
-          cx.design = mode_ == Mode::Hierarchical ? &design_ : nullptr;
-          cx.lib = &lib_;
-          cx.clib = mode_ == Mode::Hierarchical ? clib_ : nullptr;
-          cx.pt = {vdd, c};
-          cx.deadline = deadline;
-          cx.obj = obj_;
-          cx.opts = opts;
+          const SynthContext cx = context_at(vdd, c, deadline);
           Datapath init;
           try {
             init = initial_solution(*dfg_, behavior_name_, cx);
@@ -510,7 +590,7 @@ SearchOutcome SearchCore::run(const SearchStrategy& strat) const {
         ev.stage = SynthProgress::Stage::Probe;
         ev.vdd = vdd;
         ev.feasible_clocks = static_cast<int>(feasible.size());
-        opts.progress(ev);
+        emit_progress(opts, ev);
       }
       std::vector<std::size_t> picked_idx;
       if (static_cast<int>(feasible.size()) <= opts.max_clocks) {
@@ -532,77 +612,126 @@ SearchOutcome SearchCore::run(const SearchStrategy& strat) const {
       for (const std::size_t pi : picked_idx) {
         if (opts.cancel) opts.cancel->throw_if_cancelled();
         Probe& probe = feasible[pi];
-        const double clk = probe.clk;
-        const int deadline = probe.deadline;
-        align_child_profiles(probe.init, lib_, {vdd, clk});
-        if (!schedule_datapath(probe.init, lib_, {vdd, clk}, deadline).ok) {
+        align_child_profiles(probe.init, lib_, {vdd, probe.clk});
+        if (!schedule_datapath(probe.init, lib_, {vdd, probe.clk},
+                               probe.deadline)
+                 .ok) {
           continue;  // cannot happen in practice; alignment never worsens
         }
-
-        SynthContext cx;
-        cx.design = mode_ == Mode::Hierarchical ? &design_ : nullptr;
-        cx.lib = &lib_;
-        cx.clib = mode_ == Mode::Hierarchical ? clib_ : nullptr;
-        cx.pt = {vdd, clk};
-        cx.deadline = deadline;
-        cx.trace = trace_;
-        cx.obj = obj_;
-        cx.opts = opts;
-
-        {
-          obs::JobSearchState& js = obs::current_job_state();
-          js.vdd.store(vdd, std::memory_order_relaxed);
-          js.clock_ns.store(clk, std::memory_order_relaxed);
-        }
-        ImproveStats stats;
-        Datapath improved = search_improve(std::move(probe.init), cx, strat,
-                                           &stats);
-        merge_stats(out.total_stats, stats);
-
-        SynthResult cand;
-        cand.ok = true;
-        cand.dp = std::move(improved);
-        cand.flat_dfg = flat_;
-        cand.pt = cx.pt;
-        cand.sample_period_ns = sample_period_ns_;
-        cand.deadline_cycles = deadline;
-        cand.obj = obj_;
-        cand.mode = mode_;
-        cand.stats = stats;
-        fill_metrics(cand, lib_, trace_);
-        log_info(strf("config Vdd=%.1f clk=%.1fns: area %.1f energy %.1f "
-                      "power %.4f",
-                      vdd, clk, cand.area, cand.energy, cand.power));
-        if (opts.progress) {
-          SynthProgress ev;
-          ev.stage = SynthProgress::Stage::OpPoint;
-          ev.vdd = vdd;
-          ev.clock_ns = clk;
-          ev.cost = objective_value(cand, obj_);
-          ev.area = cand.area;
-          ev.power = cand.power;
-          opts.progress(ev);
-        }
-        // Primary comparison on the objective; near-ties (within 8%) break
-        // toward lower power -- "minimum area, then minimum power" is what
-        // a designer means by area-optimized, and it stops the area
-        // objective from picking needlessly hot fine-grained clocks.
-        const double v = objective_value(cand, obj_);
-        obs::current_job_state().note_best(v);
-        const bool better =
-            v < best_obj * (1.0 - 1e-9) ||
-            (best.ok && v <= best_obj * 1.08 && cand.power < best.power);
-        if (!best.ok || better) {
-          best_obj = std::min(v, best_obj);
-          best = std::move(cand);
-        }
+        PointTask& p = points.emplace_back();
+        p.vdd = vdd;
+        p.clk = probe.clk;
+        p.deadline = probe.deadline;
+        p.init = std::move(probe.init);
+        p.lead = std::exchange(pending, Narration{});
       }
     }
   } catch (const runtime::Cancelled& e) {
-    // Best-so-far semantics at a strategy-serial boundary: everything
-    // under the unwound frames was owned by them, `best` is intact.
+    // No point has been searched yet: nothing to keep.
     out.cancelled = true;
     out.cancel_reason = e.what();
+    for (const PointTask& p : points) p.lead.replay(opts);
+    pending.replay(opts);
+    best.fail_reason = "cancelled before any feasible operating point";
+    return out;
+  }
+
+  // Search phase: one pool task per point, so lanes balance over whole
+  // searches (nested regions inside a task run inline on its lane). The
+  // fold consumes finished points strictly in order, as soon as the
+  // next one is ready, and frees the ones that lose.
+  double best_obj = std::numeric_limits<double>::max();
+  const auto fold = [&](PointTask& p) {
+    p.lead.replay(opts);
+    p.narration.replay(opts);
+    SynthResult& cand = p.cand;
+    merge_stats(out.total_stats, cand.stats);
+    log_info(strf("config Vdd=%.1f clk=%.1fns: area %.1f energy %.1f "
+                  "power %.4f",
+                  p.vdd, p.clk, cand.area, cand.energy, cand.power));
+    if (opts.progress) {
+      SynthProgress ev;
+      ev.stage = SynthProgress::Stage::OpPoint;
+      ev.vdd = p.vdd;
+      ev.clock_ns = p.clk;
+      ev.cost = objective_value(cand, obj_);
+      ev.area = cand.area;
+      ev.power = cand.power;
+      opts.progress(ev);
+    }
+    // Primary comparison on the objective; near-ties (within 8%) break
+    // toward lower power -- "minimum area, then minimum power" is what
+    // a designer means by area-optimized, and it stops the area
+    // objective from picking needlessly hot fine-grained clocks.
+    const double v = objective_value(cand, obj_);
+    obs::current_job_state().note_best(v);
+    const bool better =
+        v < best_obj * (1.0 - 1e-9) ||
+        (best.ok && v <= best_obj * 1.08 && cand.power < best.power);
+    if (!best.ok || better) {
+      best_obj = std::min(v, best_obj);
+      best = std::move(cand);
+    }
+    p = PointTask{};
+  };
+
+  const int n = static_cast<int>(points.size());
+  obs::MoveLedger& ledger = obs::MoveLedger::instance();
+  const std::uint64_t first_tag = ledger.begin_points(n);
+  std::mutex fold_mu;
+  std::size_t folded = 0;
+  runtime::pool().run(n, [&](int i) {
+    PointTask& p = points[static_cast<std::size_t>(i)];
+    PointTask::State state = PointTask::State::Done;
+    try {
+      const obs::PointScope point_scope(first_tag +
+                                        static_cast<std::uint64_t>(i));
+      const Narrate narrate(&p.narration);
+      SynthContext cx = context_at(p.vdd, p.clk, p.deadline);
+      cx.trace = trace_;
+      obs::JobSearchState& js = obs::current_job_state();
+      js.vdd.store(p.vdd, std::memory_order_relaxed);
+      js.clock_ns.store(p.clk, std::memory_order_relaxed);
+      ImproveStats stats;
+      Datapath improved = search_improve(std::move(p.init), cx, strat, &stats);
+      SynthResult& cand = p.cand;
+      cand.ok = true;
+      cand.dp = std::move(improved);
+      cand.flat_dfg = flat_;
+      cand.pt = cx.pt;
+      cand.sample_period_ns = sample_period_ns_;
+      cand.deadline_cycles = p.deadline;
+      cand.obj = obj_;
+      cand.mode = mode_;
+      cand.stats = stats;
+      fill_metrics(cand, lib_, trace_);
+    } catch (const runtime::Cancelled& e) {
+      state = PointTask::State::Cancelled;
+      p.cancel_reason = e.what();
+    } catch (...) {
+      log_write(p.narration.log);  // the failure's own log lines
+      throw;
+    }
+    const std::lock_guard<std::mutex> lock(fold_mu);
+    p.state = state;
+    while (folded < points.size() &&
+           points[folded].state == PointTask::State::Done) {
+      fold(points[folded++]);
+    }
+  });
+  ledger.place_points(first_tag, n);
+
+  if (folded < points.size()) {
+    // Best-so-far semantics: the completed prefix is folded; the first
+    // cancelled point reports what it did before the cut, and nothing
+    // after it counts.
+    const PointTask& p = points[folded];
+    p.lead.replay(opts);
+    p.narration.replay(opts);
+    out.cancelled = true;
+    out.cancel_reason = p.cancel_reason;
+  } else {
+    pending.replay(opts);  // supplies after the last point
   }
 
   if (!best.ok && best.fail_reason.empty()) {

@@ -12,7 +12,9 @@
 // plus its own locals, so N concurrent run() calls (one per pool lane;
 // nested parallel regions execute inline on the calling lane) are safe
 // and each is a pure function of (core inputs, strategy) -- the basis of
-// the portfolio's thread-count-independence guarantee.
+// the portfolio's thread-count-independence guarantee. Called outside a
+// region, run() searches its operating points as concurrent pool tasks
+// and folds them in the serial order (DESIGN.md section 6).
 //
 // Determinism note: the typical input trace is derived from
 // SynthOptions::seed only. Strategy seed offsets deliberately do NOT
@@ -60,7 +62,8 @@ class SearchCore {
   /// Run one complete search trajectory under `strat`. Re-entrant: safe
   /// to call concurrently from multiple pool lanes. Cancellation is
   /// caught at a strategy-serial boundary and reported via the outcome
-  /// (never thrown).
+  /// (never thrown): the result is the best of the operating points
+  /// completed, in the serial order, before the first cancelled one.
   SearchOutcome run(const SearchStrategy& strat) const;
 
   const Trace& trace() const { return trace_; }

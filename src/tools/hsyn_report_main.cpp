@@ -430,6 +430,40 @@ void section_dropped(const JsonValue* trace,
   os << "\n\n";
 }
 
+/// The pool's lanes (runtime source): busy time per lane, and how many
+/// regions ran pooled, inline, or inline because the pool was busy.
+void section_lanes(const JsonValue& metrics, std::ostream& os) {
+  const JsonValue* sources = metrics.get("sources");
+  const JsonValue* rt = sources ? sources->get("runtime") : nullptr;
+  if (!rt || !rt->is_object()) return;
+  std::vector<std::pair<int, double>> lanes;  // (lane, busy ms)
+  for (const auto& [key, v] : rt->members()) {
+    int lane = 0;
+    if (std::sscanf(key.c_str(), "lane%d_busy_ns", &lane) == 1) {
+      lanes.emplace_back(lane, v.as_number() / 1e6);
+    }
+  }
+  if (lanes.empty()) return;
+  std::sort(lanes.begin(), lanes.end());
+  double busiest = 0;
+  for (const auto& [lane, ms] : lanes) busiest = std::max(busiest, ms);
+  os << "### Pool lanes\n\n"
+     << rt->int_or("regions", 0) << " pooled region(s), "
+     << rt->int_or("inline_regions", 0) << " inline ("
+     << rt->int_or("busy_inline_regions", 0)
+     << " of them because another submitter held the pool).\n\n"
+     << "| lane | busy ms | % of busiest |\n|---|---:|---:|\n";
+  for (const auto& [lane, ms] : lanes) {
+    char row[96];
+    std::snprintf(row, sizeof row, "| %d%s | %.1f | %.1f |\n", lane,
+                  lane == 0 ? " (submitter)" : "", ms,
+                  busiest > 0 ? 100.0 * ms / busiest : 0.0);
+    os << row;
+  }
+  os << "\nBusy time counts the chunks of pooled regions a lane ran; a "
+        "lane short of the busiest one sat idle while others worked.\n\n";
+}
+
 void section_metrics(const JsonValue& metrics, std::ostream& os) {
   os << "## Metrics highlights\n\n";
   const JsonValue* counters = metrics.get("counters");
@@ -454,6 +488,7 @@ void section_metrics(const JsonValue& metrics, std::ostream& os) {
     }
   }
   os << "\n";
+  section_lanes(metrics, os);
 }
 
 void section_jobs(const std::vector<JsonValue>& samples, std::ostream& os) {

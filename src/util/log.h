@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace hsyn {
 
@@ -18,6 +19,25 @@ LogLevel log_level();
 
 /// Emit a message at the given level to stderr (if enabled).
 void log_msg(LogLevel lv, const std::string& msg);
+
+/// RAII: while alive, the messages this thread logs (those that pass
+/// the threshold) are appended to `*sink`, formatted as on stderr,
+/// instead of being written. Lets concurrent tasks keep their output
+/// apart and write it later in a fixed order (log_write).
+class LogCapture {
+ public:
+  explicit LogCapture(std::string* sink);
+  ~LogCapture();
+  LogCapture(const LogCapture&) = delete;
+  LogCapture& operator=(const LogCapture&) = delete;
+
+ private:
+  std::string* prev_;
+};
+
+/// Write captured log text to stderr as is (or into the thread's own
+/// active capture).
+void log_write(std::string_view text);
 
 inline void log_debug(const std::string& m) { log_msg(LogLevel::Debug, m); }
 inline void log_info(const std::string& m) { log_msg(LogLevel::Info, m); }

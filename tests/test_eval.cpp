@@ -535,14 +535,17 @@ TEST(RefreshConnectivity, SortedRowsMatchSetOracleOnRandomBindings) {
 TEST(TemplateCache, BoundedWithLruEviction) {
   TemplateCache tc;
   const auto proto = std::make_shared<const Datapath>("tmpl");
-  for (int i = 0; i < 70; ++i) tc.put("k" + std::to_string(i), proto);
+  const auto k = [](int i) {
+    return TemplateKey("k" + std::to_string(i), "b", OpPoint{});
+  };
+  for (int i = 0; i < 70; ++i) tc.put(k(i), proto);
   EXPECT_EQ(tc.size(), 64u);  // the bound held: k0..k5 evicted
-  EXPECT_EQ(tc.get("k0"), nullptr);
-  EXPECT_NE(tc.get("k69"), nullptr);
-  ASSERT_NE(tc.get("k6"), nullptr);  // refreshes k6's recency...
-  tc.put("k70", proto);
-  EXPECT_NE(tc.get("k6"), nullptr);  // ...so k7 is the next victim
-  EXPECT_EQ(tc.get("k7"), nullptr);
+  EXPECT_EQ(tc.get(k(0)), nullptr);
+  EXPECT_NE(tc.get(k(69)), nullptr);
+  ASSERT_NE(tc.get(k(6)), nullptr);  // refreshes k6's recency...
+  tc.put(k(70), proto);
+  EXPECT_NE(tc.get(k(6)), nullptr);  // ...so k7 is the next victim
+  EXPECT_EQ(tc.get(k(7)), nullptr);
 }
 
 TEST(TemplateCache, NearbyClocksNeverShareSchedules) {

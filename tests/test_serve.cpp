@@ -232,6 +232,37 @@ TEST(ServeFraming, FramesSurvivePipeTransport) {
   ::close(fds[0]);
 }
 
+TEST(ServeFraming, LargeFrameRoundTripsOverPipe) {
+  // A 32 MB frame (a big move ledger's size) arrives over many reads;
+  // the reader must reassemble it exactly, and the frame after it too.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  std::string big(std::size_t{32} << 20, ' ');
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<char>('a' + i % 26);
+  }
+  std::thread writer([&] {
+    EXPECT_TRUE(write_frame(fds[1], big));
+    EXPECT_TRUE(write_frame(fds[1], "{}"));
+    ::close(fds[1]);
+  });
+  FrameReader reader(fds[0]);
+  std::string first;
+  std::string second;
+  const bool got_first = reader.next(&first);
+  const bool got_second = got_first && reader.next(&second);
+  // Drain whatever a failed reader left, so the writer cannot block.
+  char sink[4096];
+  while (::read(fds[0], sink, sizeof sink) > 0) {
+  }
+  writer.join();
+  ::close(fds[0]);
+  ASSERT_TRUE(got_first);
+  EXPECT_TRUE(first == big) << "frame of " << first.size() << " bytes";
+  ASSERT_TRUE(got_second);
+  EXPECT_EQ(second, "{}");
+}
+
 TEST(ServeFraming, OversizedFramePoisonsReader) {
   int fds[2];
   ASSERT_EQ(::pipe(fds), 0);
