@@ -45,23 +45,10 @@ struct Mark {
   MoveStatus status;
 };
 
-struct GroupMeta {
-  int pass = 0;
-  int depth = 0;
-  std::int32_t strategy = -1;
-};
-
 struct LedgerState {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadBuf>> bufs;
   std::vector<Mark> marks;  ///< strategy-serial improvement loops only
-  /// Per group id: (pass, depth, strategy) captured at begin_group()
-  /// time. Pass/depth/strategy scopes are thread-local to the
-  /// enumerating thread; a worker evaluating the candidate would read
-  /// its own stale values, so merged() stamps records from this table
-  /// instead. A map because portfolio group ids are sparse (strategy
-  /// tag in the high bits).
-  std::map<std::uint64_t, GroupMeta> group_meta;
   /// Per-strategy group sequence counters (portfolio explorers).
   std::map<std::int32_t, std::uint64_t> strategy_seq;
   /// Per finished, not yet placed point task: the groups it drew, and
@@ -145,7 +132,6 @@ void MoveLedger::reset() {
     buf->dropped = 0;
   }
   s.marks.clear();
-  s.group_meta.clear();
   s.strategy_seq.clear();
   s.point_seq.clear();
   s.point_base.clear();
@@ -166,40 +152,26 @@ std::uint64_t MoveLedger::dropped() const {
 
 std::uint64_t MoveLedger::begin_group() {
   const std::int32_t strat = StrategyScope::current();
-  const bool on = enabled();
-  // The enumerating thread's improvement context, captured here where
-  // it is authoritative (see group_meta); kept only while recording.
-  const GroupMeta meta{ImproveScope::current_pass(),
-                       ResynthScope::current_depth(), strat};
-  LedgerState& s = state();
-  std::uint64_t id;
   if (strat >= 0) {
     // Portfolio explorer: the strategy's own sequence, so the id is a
     // pure function of the strategy's deterministic trajectory no
     // matter how explorers interleave.
+    LedgerState& s = state();
     std::lock_guard<std::mutex> lock(s.mu);
-    id = (static_cast<std::uint64_t>(strat) + 1) << kStrategyShift |
-         s.strategy_seq[strat]++;
-    if (on) s.group_meta[id] = meta;
-    return id;
+    return (static_cast<std::uint64_t>(strat) + 1) << kStrategyShift |
+           s.strategy_seq[strat]++;
   }
   if (t_tag.point >= 0) {
     // Point task: its own sequence until place_points() gives it the
     // block of the global sequence a serial run would have used.
-    id = kPointBit |
-         (static_cast<std::uint64_t>(t_tag.point) & kPointTagMask)
-             << kStrategyShift |
-         t_tag.point_groups++;
-    t_tag.point_recorded = t_tag.point_recorded || on;
-  } else {
-    // Solo path: one process-global serial sequence.
-    id = next_group_.fetch_add(1, std::memory_order_relaxed);
+    t_tag.point_recorded = t_tag.point_recorded || enabled();
+    return kPointBit |
+           (static_cast<std::uint64_t>(t_tag.point) & kPointTagMask)
+               << kStrategyShift |
+           t_tag.point_groups++;
   }
-  if (on) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.group_meta[id] = meta;
-  }
-  return id;
+  // Solo path: one process-global serial sequence.
+  return next_group_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t MoveLedger::begin_points(int n) {
@@ -243,7 +215,6 @@ std::vector<MoveRecord> MoveLedger::merged(std::uint64_t job) const {
   LedgerState& s = state();
   std::vector<MoveRecord> out;
   std::vector<Mark> marks;
-  std::map<std::uint64_t, GroupMeta> group_meta;
   std::map<std::uint64_t, std::uint64_t> point_base;
   {
     std::lock_guard<std::mutex> lock(s.mu);
@@ -254,23 +225,12 @@ std::vector<MoveRecord> MoveLedger::merged(std::uint64_t job) const {
       }
     }
     marks = s.marks;
-    group_meta = s.group_meta;
     point_base = s.point_base;
   }
   const auto by_key = [](const MoveRecord& a, const MoveRecord& b) {
     return a.group != b.group ? a.group < b.group : a.cand < b.cand;
   };
   std::stable_sort(out.begin(), out.end(), by_key);
-  // Pass/depth/strategy come from the serial enumeration context, not
-  // from whichever worker happened to evaluate the candidate.
-  for (MoveRecord& r : out) {
-    const auto it = group_meta.find(r.group);
-    if (it != group_meta.end()) {
-      r.pass = it->second.pass;
-      r.depth = it->second.depth;
-      r.strategy = it->second.strategy;
-    }
-  }
   // Marks are few (one or two per applied move); linear probe per mark
   // via binary search on the sorted records.
   for (const Mark& m : marks) {

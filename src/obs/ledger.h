@@ -2,17 +2,16 @@
 // attempted -- move class, target, gain, accept/reject outcome, and
 // (observational) evaluation time and cache traffic.
 //
-// Determinism contract. Candidate enumeration is serial: every move
-// generator builds its candidate list on the enumerating thread before
-// fanning evaluation out through runtime::parallel_best. The ledger
-// exploits this: begin_group() is called at each (serial, totally
-// ordered) enumeration site and returns a fresh group id from a global
-// counter; inside the parallel evaluation lambda a CandidateScope tags
-// the worker thread with (group, candidate index). finish_move() reads
-// the tag and appends the record to a per-thread buffer with no
-// cross-thread synchronization. merged() sorts by (group, cand) -- both
-// ids are assigned independently of which worker ran the evaluation, so
-// the merged ledger is identical at any thread count.
+// Determinism contract. A search is serial: every move generator builds
+// its candidate list and then evaluates the candidates in order on the
+// same thread. begin_group() is called at each (totally ordered)
+// enumeration site and returns a fresh group id from a global counter;
+// around each candidate's evaluation a CandidateScope tags the thread
+// with (group, candidate index). finish_move() reads the tag and
+// appends the record to a per-thread buffer with no cross-thread
+// synchronization. merged() sorts by (group, cand) -- both ids are
+// assigned independently of which lane ran the search, so the merged
+// ledger is identical at any thread count.
 //
 // Outcome marks (applied / rolled back / accepted) are produced by the
 // serial improvement loop after evaluation, keyed by the same
@@ -74,8 +73,8 @@ struct MoveRecord {
   std::uint64_t group = 0;  ///< serial enumeration-site id
   std::uint64_t job = 0;    ///< obs::current_job() of the recording scope
   std::int32_t cand = 0;    ///< candidate index within the group
-  /// Portfolio strategy that enumerated the group (-1 = no strategy
-  /// scope was active; stamped at merge time from the group table).
+  /// Portfolio strategy of the recording thread (-1 = no strategy
+  /// scope was active).
   std::int32_t strategy = -1;
   std::string kind;         ///< move class ("A:replace-fu", "C:share", ...)
   std::string desc;         ///< human-readable target description
@@ -203,8 +202,8 @@ class MoveLedger {
 };
 
 /// RAII tag: "records produced on this thread belong to candidate
-/// `cand` of group `group`". Constructed inside the parallel evaluation
-/// lambda, immediately around the finish_move call chain.
+/// `cand` of group `group`". Constructed in a move generator's candidate
+/// loop, immediately around the finish_move call chain.
 class CandidateScope {
  public:
   CandidateScope(std::uint64_t group, std::int32_t cand);
@@ -226,8 +225,7 @@ class CandidateScope {
 
 /// RAII pass context: set by improve() around each pass so records
 /// carry the pass number. Thread-local; nested improve() (move B
-/// resynthesis) runs on the enumerating thread and restores the outer
-/// value on exit.
+/// resynthesis) restores the outer value on exit.
 class ImproveScope {
  public:
   explicit ImproveScope(int pass);
@@ -242,7 +240,7 @@ class ImproveScope {
 };
 
 /// RAII strategy context: the portfolio engine wraps each explorer's
-/// whole trajectory (one pool lane; nested regions run inline on it) so
+/// whole trajectory (one pool chunk, serial on its lane) so
 /// begin_group() allocates from the strategy's own deterministic
 /// sequence and records carry the strategy id. Thread-local.
 class StrategyScope {

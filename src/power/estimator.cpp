@@ -12,7 +12,6 @@
 #include "power/replay.h"
 #include "rtl/cost.h"
 #include "rtl/fingerprint.h"
-#include "runtime/parallel.h"
 #include "util/fmt.h"
 #include "util/hash.h"
 
@@ -280,28 +279,17 @@ EnergyBreakdown energy_of(const Datapath& dp, int b, const Trace& trace,
             (bi.makespan + 1) * escale * static_cast<double>(T);
 
   // ---- Children (recursive). ---------------------------------------------
-  // Each child's estimation is independent; fan the recursion out over
-  // the runtime and accumulate the per-child totals in map-key order so
-  // the floating-point sum is identical for any thread count.
-  {
-    std::vector<const std::pair<const std::pair<int, std::string>, Trace>*>
-        entries;
-    entries.reserve(child_traces.size());
-    for (const auto& entry : child_traces) entries.push_back(&entry);
-    const std::vector<double> child_totals = runtime::parallel_map(
-        static_cast<int>(entries.size()), [&](int i) {
-          const auto& [ckey, ctrace] = *entries[static_cast<std::size_t>(i)];
-          const Datapath& child =
-              *dp.children[static_cast<std::size_t>(ckey.first)].impl;
-          const int cb = child.find_behavior(ckey.second);
-          if (cb < 0) check_failed("energy_of: child lacks behavior " + ckey.second);
-          const EnergyBreakdown ce =
-              energy_of(child, cb, ctrace, lib, pt, /*top_level=*/false);
-          // ce.total() is average per child invocation; ctrace has
-          // T x (invocations per sample) entries.
-          return ce.total() * (static_cast<double>(ctrace.size()) / T);
-        });
-    for (const double c : child_totals) eb.children += c;
+  // Per-child totals are added in map-key order.
+  for (const auto& [ckey, ctrace] : child_traces) {
+    const Datapath& child =
+        *dp.children[static_cast<std::size_t>(ckey.first)].impl;
+    const int cb = child.find_behavior(ckey.second);
+    if (cb < 0) check_failed("energy_of: child lacks behavior " + ckey.second);
+    const EnergyBreakdown ce =
+        energy_of(child, cb, ctrace, lib, pt, /*top_level=*/false);
+    // ce.total() is average per child invocation; ctrace has
+    // T x (invocations per sample) entries.
+    eb.children += ce.total() * (static_cast<double>(ctrace.size()) / T);
   }
 
   // Normalize to energy per sample (except children, already normalized).

@@ -9,7 +9,6 @@
 #include "obs/trace.h"
 #include "power/trace.h"
 #include "runtime/arena.h"
-#include "runtime/parallel.h"
 #include "util/fmt.h"
 
 namespace hsyn {
@@ -229,35 +228,6 @@ void exec_program(const ReplayProgram& p, const BehaviorResolver& res,
   }
 }
 
-/// Minimum element-operations (program steps x samples, hierarchy
-/// resolved) before a replay batch is worth fanning out over the pool.
-/// Below it the pool's wake/sleep handshake dominates the column sweeps
-/// themselves -- the cause of 8-thread replay measuring *slower* than
-/// 2-thread on small designs.
-constexpr std::size_t kSerialCutoff = std::size_t{1} << 18;
-
-/// Steps per sample of `p` with hierarchical calls resolved recursively
-/// (plus the per-call port copies). Memoized inside the program itself
-/// (ReplayProgram::weight_memo): programs are shared process-wide via the
-/// eval-engine cache, so the memo rides along with them and the hot-path
-/// lookup is one relaxed atomic load -- no global mutexed map. Concurrent
-/// first calls race benignly: both compute the same pure function of the
-/// program tree and store the same value.
-std::size_t program_weight(const ReplayProgram& p, const BehaviorResolver& res) {
-  if (const std::size_t memo = p.weight_memo.load(std::memory_order_relaxed)) {
-    return memo - 1;
-  }
-  std::size_t w = p.steps.size();
-  for (const ReplayHierCall& h : p.hier_calls) {
-    const Dfg* child = res(h.behavior);
-    if (child == nullptr) continue;
-    w += h.in_slots.size() + h.out_slots.size();
-    w += program_weight(*replay_program_of(*child), res);
-  }
-  p.weight_memo.store(w + 1, std::memory_order_relaxed);
-  return w;
-}
-
 }  // namespace
 
 EdgeMatrix replay_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,
@@ -267,45 +237,27 @@ EdgeMatrix replay_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,
   const std::size_t T = inputs.size();
   EdgeMatrix mat(prog->num_edges, T);
   if (T == 0) return mat;
-  const int n = static_cast<int>(T);
-  // Sub-threshold batches run serially (k = 1): chunking is free to vary
-  // because every cell is an exact integer function of one sample, so
-  // the chunk count changes only speed, never values.
-  const int k = program_weight(*prog, res) * T < kSerialCutoff
-                    ? 1
-                    : runtime::num_chunks(n);
-  // Chunks own disjoint [lo, hi) slices of every column, so the batch
-  // fans out over the runtime with bit-identical results at any thread
-  // count (every cell is an exact integer function of one sample).
-  runtime::pool().run(k, [&](int c) {
-    const int lo = runtime::chunk_begin(n, k, c);
-    const int hi = runtime::chunk_begin(n, k, c + 1);
-    if (lo >= hi) return;
-    const std::size_t len = static_cast<std::size_t>(hi - lo);
-    runtime::Arena& arena = runtime::Arena::local();
-    runtime::Arena::Frame frame(arena);
-    std::int32_t** cols = arena.alloc_ptrs<std::int32_t>(
-        static_cast<std::size_t>(prog->num_edges) + prog->consts.size());
-    for (int e = 0; e < prog->num_edges; ++e) {
-      cols[e] = mat.col_mut(e) + lo;
+  runtime::Arena& arena = runtime::Arena::local();
+  runtime::Arena::Frame frame(arena);
+  std::int32_t** cols = arena.alloc_ptrs<std::int32_t>(
+      static_cast<std::size_t>(prog->num_edges) + prog->consts.size());
+  for (int e = 0; e < prog->num_edges; ++e) cols[e] = mat.col_mut(e);
+  for (std::size_t j = 0; j < prog->consts.size(); ++j) {
+    std::int32_t* col = arena.alloc_i32(T);
+    for (std::size_t t = 0; t < T; ++t) col[t] = prog->consts[j];
+    cols[static_cast<std::size_t>(prog->num_edges) + j] = col;
+  }
+  // Transpose the samples into the primary-input columns.
+  for (std::size_t t = 0; t < T; ++t) {
+    const Sample& in = inputs[t];
+    check(static_cast<int>(in.size()) == prog->num_inputs,
+          "eval_dfg_edges: input arity mismatch");
+    for (int i = 0; i < prog->num_inputs; ++i) {
+      const std::int32_t slot = prog->input_slots[static_cast<std::size_t>(i)];
+      if (slot >= 0) cols[slot][t] = in[static_cast<std::size_t>(i)];
     }
-    for (std::size_t j = 0; j < prog->consts.size(); ++j) {
-      std::int32_t* col = arena.alloc_i32(len);
-      for (std::size_t t = 0; t < len; ++t) col[t] = prog->consts[j];
-      cols[static_cast<std::size_t>(prog->num_edges) + j] = col;
-    }
-    // Transpose this chunk's samples into the primary-input columns.
-    for (int t = lo; t < hi; ++t) {
-      const Sample& in = inputs[static_cast<std::size_t>(t)];
-      check(static_cast<int>(in.size()) == prog->num_inputs,
-            "eval_dfg_edges: input arity mismatch");
-      for (int i = 0; i < prog->num_inputs; ++i) {
-        const std::int32_t slot = prog->input_slots[static_cast<std::size_t>(i)];
-        if (slot >= 0) cols[slot][t - lo] = in[static_cast<std::size_t>(i)];
-      }
-    }
-    exec_program(*prog, res, cols, len, arena);
-  });
+  }
+  exec_program(*prog, res, cols, T, arena);
   {
     obs::Registry& reg = obs::Registry::instance();
     static obs::Counter& matrices = reg.counter("replay.matrices");

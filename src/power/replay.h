@@ -14,17 +14,14 @@
 //      one plain per-opcode loop per step down each column -- no per-step
 //      control flow, no per-step allocation. Hierarchical calls expand the
 //      child program over the same batch with child columns carved out
-//      of the calling worker's scratch Arena (runtime/arena.h).
+//      of the calling thread's scratch Arena (runtime/arena.h).
 //
-//   3. The trace batch is chunked over the deterministic runtime
-//      (runtime/parallel.h static chunking). Every value is an exact
-//      16-bit integer function of one sample's inputs, so the result is
-//      bit-identical at any thread count. The per-time-step interpreter
-//      the kernel is tested against lives in the test tree
-//      (tests/replay_oracle.h).
+//   3. The whole trace batch runs as one block on the calling thread.
+//      Every value is an exact 16-bit integer function of one sample's
+//      inputs. The per-time-step interpreter the kernel is tested
+//      against lives in the test tree (tests/replay_oracle.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -114,47 +111,10 @@ struct ReplayProgram {
   std::vector<ReplayStep> steps;           ///< topological order
   std::vector<ReplayHierCall> hier_calls;
 
-  /// Lazily computed replay weight (resolved steps per sample,
-  /// program_weight in replay.cpp), stored as weight + 1 so 0 means
-  /// "unset". Lives inside the program -- shared process-wide via the
-  /// eval-engine program cache -- so the hot-path serial-cutoff lookup
-  /// is one relaxed atomic load, not a global mutexed map. Not part of
-  /// the program's value: equality and bytes() ignore it.
-  mutable std::atomic<std::size_t> weight_memo{0};
-
-  ReplayProgram() = default;
-  ReplayProgram(const ReplayProgram& o)
-      : dfg_hash(o.dfg_hash),
-        num_inputs(o.num_inputs),
-        num_outputs(o.num_outputs),
-        num_edges(o.num_edges),
-        input_slots(o.input_slots),
-        output_slots(o.output_slots),
-        consts(o.consts),
-        steps(o.steps),
-        hier_calls(o.hier_calls),
-        weight_memo(o.weight_memo.load(std::memory_order_relaxed)) {}
-  ReplayProgram(ReplayProgram&& o) noexcept
-      : dfg_hash(o.dfg_hash),
-        num_inputs(o.num_inputs),
-        num_outputs(o.num_outputs),
-        num_edges(o.num_edges),
-        input_slots(std::move(o.input_slots)),
-        output_slots(std::move(o.output_slots)),
-        consts(std::move(o.consts)),
-        steps(std::move(o.steps)),
-        hier_calls(std::move(o.hier_calls)),
-        weight_memo(o.weight_memo.load(std::memory_order_relaxed)) {}
-
   [[nodiscard]] std::size_t bytes() const;
 
-  friend bool operator==(const ReplayProgram& a, const ReplayProgram& b) {
-    return a.dfg_hash == b.dfg_hash && a.num_inputs == b.num_inputs &&
-           a.num_outputs == b.num_outputs && a.num_edges == b.num_edges &&
-           a.input_slots == b.input_slots && a.output_slots == b.output_slots &&
-           a.consts == b.consts && a.steps == b.steps &&
-           a.hier_calls == b.hier_calls;
-  }
+  friend bool operator==(const ReplayProgram&,
+                         const ReplayProgram&) = default;
 };
 
 /// Compile `dfg` (validated) into a replay program.
@@ -164,8 +124,8 @@ ReplayProgram compile_replay(const Dfg& dfg);
 /// across the process (eval engine program cache).
 std::shared_ptr<const ReplayProgram> replay_program_of(const Dfg& dfg);
 
-/// Evaluate every edge of `dfg` over `inputs` with the compiled kernel,
-/// bit-identical for any thread count. This is the uncached backend;
+/// Evaluate every edge of `dfg` over `inputs` with the compiled kernel.
+/// This is the uncached backend;
 /// eval_dfg_edges_shared (power/trace.h) adds the process-wide
 /// memoization.
 EdgeMatrix replay_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,

@@ -15,7 +15,6 @@
 #include "obs/trace.h"
 #include "power/replay.h"
 #include "rtl/cost.h"
-#include "runtime/parallel.h"
 #include "util/fmt.h"
 
 namespace hsyn {
@@ -335,36 +334,21 @@ RtlSimResult simulate_rtl(const Datapath& dp, int b, const Trace& trace,
                       (bi.makespan + 1) * escale;
   }
 
-  // Recursively verify children on their observed input streams. The
-  // per-child simulations are independent, so they fan out over the
-  // runtime; violations and energies are folded back in map-key order
-  // so the report and the floating-point sum are thread-count
-  // independent.
-  {
-    std::vector<const std::pair<const std::pair<int, std::string>, Trace>*>
-        entries;
-    entries.reserve(child_traces.size());
-    for (const auto& entry : child_traces) entries.push_back(&entry);
-    const std::vector<RtlSimResult> child_results = runtime::parallel_map(
-        static_cast<int>(entries.size()), [&](int i) {
-          const auto& [key, ctrace] = *entries[static_cast<std::size_t>(i)];
-          const Datapath& child =
-              *dp.children[static_cast<std::size_t>(key.first)].impl;
-          const int cb = child.find_behavior(key.second);
-          return simulate_rtl(child, cb, ctrace, lib, pt,
-                              /*top_level=*/false);
-        });
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const auto& [key, ctrace] = *entries[i];
-      const RtlSimResult& cr = child_results[i];
-      for (const std::string& v : cr.violations) {
-        violation("child " +
-                  dp.children[static_cast<std::size_t>(key.first)].name +
-                  ": " + v);
-      }
-      res.energy.children +=
-          cr.energy.total() * (static_cast<double>(ctrace.size()) / T);
+  // Recursively verify children on their observed input streams, in
+  // map-key order (violations and the energy sum follow it).
+  for (const auto& [key, ctrace] : child_traces) {
+    const Datapath& child =
+        *dp.children[static_cast<std::size_t>(key.first)].impl;
+    const int cb = child.find_behavior(key.second);
+    const RtlSimResult cr =
+        simulate_rtl(child, cb, ctrace, lib, pt, /*top_level=*/false);
+    for (const std::string& v : cr.violations) {
+      violation("child " +
+                dp.children[static_cast<std::size_t>(key.first)].name + ": " +
+                v);
     }
+    res.energy.children +=
+        cr.energy.total() * (static_cast<double>(ctrace.size()) / T);
   }
 
   const double inv_T = 1.0 / static_cast<double>(T);

@@ -1,8 +1,8 @@
 // Per-worker bump-pointer scratch arenas.
 //
 // The trace-replay kernel (power/replay.cpp) needs short-lived column
-// buffers for every hierarchical call it expands -- one set per chunk,
-// per nesting level, thousands of times per synthesis pass. A
+// buffers for every hierarchical call it expands -- one set per nesting
+// level, thousands of times per synthesis pass. A
 // general-purpose allocator would serialize the workers on its locks and
 // fragment; instead every thread owns one Arena and allocates by bumping
 // an offset into geometrically grown blocks.

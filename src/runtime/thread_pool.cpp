@@ -20,7 +20,6 @@ thread_local bool tl_in_region = false;
 std::atomic<std::uint64_t> g_regions{0};
 std::atomic<std::uint64_t> g_inline_regions{0};
 std::atomic<std::uint64_t> g_chunks{0};
-std::atomic<std::uint64_t> g_tasks{0};
 std::atomic<std::uint64_t> g_max_region_chunks{0};
 std::atomic<std::uint64_t> g_busy_inline_regions{0};
 
@@ -41,6 +40,19 @@ struct RegionGuard {
   RegionGuard() : prev(tl_in_region) { tl_in_region = true; }
   ~RegionGuard() { tl_in_region = prev; }
 };
+
+void count_region(int nchunks, bool inline_run) {
+  (inline_run ? g_inline_regions : g_regions)
+      .fetch_add(1, std::memory_order_relaxed);
+  g_chunks.fetch_add(static_cast<std::uint64_t>(nchunks),
+                     std::memory_order_relaxed);
+  std::uint64_t prev = g_max_region_chunks.load(std::memory_order_relaxed);
+  while (prev < static_cast<std::uint64_t>(nchunks) &&
+         !g_max_region_chunks.compare_exchange_weak(
+             prev, static_cast<std::uint64_t>(nchunks),
+             std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
@@ -114,7 +126,7 @@ void ThreadPool::worker_loop(int lane) {
 
 void ThreadPool::run_inline(int nchunks, const std::function<void(int)>& fn) {
   if (nchunks <= 0) return;
-  detail::count_region(nchunks, /*inline_run=*/true);
+  count_region(nchunks, /*inline_run=*/true);
   RegionGuard guard;
   for (int c = 0; c < nchunks; ++c) fn(c);
 }
@@ -159,7 +171,7 @@ void ThreadPool::run(int nchunks, const std::function<void(int)>& fn) {
   }
   errors_.clear();
   lock.unlock();
-  detail::count_region(nchunks, /*inline_run=*/false);
+  count_region(nchunks, /*inline_run=*/false);
   if (first) std::rethrow_exception(first);
 }
 
@@ -176,7 +188,7 @@ std::unique_ptr<ThreadPool>& pool_slot() {
           {"busy_inline_regions",
            g_busy_inline_regions.load(std::memory_order_relaxed)},
           {"chunks", g_chunks.load(std::memory_order_relaxed)},
-          {"tasks", g_tasks.load(std::memory_order_relaxed)},
+          {"tasks", g_chunks.load(std::memory_order_relaxed)},
           {"max_region_chunks",
            g_max_region_chunks.load(std::memory_order_relaxed)}};
       const int lanes =
@@ -223,27 +235,5 @@ ThreadPool& pool() {
 }
 
 int threads() { return pool().threads(); }
-
-namespace detail {
-
-void count_region(int nchunks, bool inline_run) {
-  (inline_run ? g_inline_regions : g_regions)
-      .fetch_add(1, std::memory_order_relaxed);
-  g_chunks.fetch_add(static_cast<std::uint64_t>(nchunks),
-                     std::memory_order_relaxed);
-  std::uint64_t prev = g_max_region_chunks.load(std::memory_order_relaxed);
-  while (prev < static_cast<std::uint64_t>(nchunks) &&
-         !g_max_region_chunks.compare_exchange_weak(
-             prev, static_cast<std::uint64_t>(nchunks),
-             std::memory_order_relaxed)) {
-  }
-}
-
-void count_tasks(int ntasks) {
-  g_tasks.fetch_add(static_cast<std::uint64_t>(ntasks),
-                    std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 }  // namespace hsyn::runtime

@@ -1,4 +1,10 @@
-// Deterministic fixed thread pool for H-SYN's parallel hot paths.
+// Deterministic fixed thread pool for H-SYN's searches.
+//
+// A region's chunks are whole searches: a job's operating points
+// (synth/search_core.cpp) or a portfolio's strategies
+// (synth/portfolio.cpp). Everything inside a chunk -- candidate
+// evaluation, energy estimation, trace replay -- is a plain serial loop
+// on the chunk's lane.
 //
 // Design goals (in priority order):
 //   1. Determinism. There is no work stealing and no dynamic load
@@ -8,23 +14,23 @@
 //      its own slot, and callers combine the slots in index order. The
 //      result is bit-identical for 1, 2 or 64 threads.
 //   2. Simplicity. One region runs at a time; the caller participates
-//      in the work and blocks until the region completes. Nested
-//      regions (a worker task reaching another parallel_for) execute
-//      inline on the calling thread, so recursion -- e.g. move B's
-//      nested improvement loop -- cannot deadlock the pool. A submitter
-//      that finds another region holding the pool runs its own region
-//      inline too, instead of waiting for the pool to free up.
+//      in the work and blocks until the region completes. A nested
+//      region (a portfolio strategy reaching its point fan-out) executes
+//      inline on the calling thread, so nesting cannot deadlock the
+//      pool. A submitter that finds another region holding the pool runs
+//      its own region inline too, instead of waiting for the pool to
+//      free up.
 //   3. Exceptions propagate: the lowest-indexed chunk's exception is
 //      rethrown in the caller once the region has drained.
 //
 // The process-global pool is configured once via set_threads() (CLI
-// --threads, HSYN_THREADS env, or hardware_concurrency) and shared by
-// every parallel helper in runtime/parallel.h.
+// --threads, HSYN_THREADS env, or hardware_concurrency).
 //
 // Every region bumps a handful of relaxed atomics, exported as the
 // "runtime" metrics source (obs::Registry) with the keys regions,
 // inline_regions, busy_inline_regions (the inline ones that ran so
-// because another submitter held the pool), chunks, tasks,
+// because another submitter held the pool), chunks, tasks (the chunks
+// run() executed, pooled or inline; the same count as chunks),
 // max_region_chunks, and lane<i>_busy_ns: the time lane i spent running
 // chunks of pooled regions (lane 0 is the submitting thread, lanes 1..
 // the workers). The source is registered when the global pool is first
@@ -72,17 +78,16 @@ class ThreadPool {
   /// charges) survives the fan-out.
   void run(int nchunks, const std::function<void(int)>& fn);
 
-  /// Run fn(c) for c in [0, nchunks) on the calling thread, in index
-  /// order, as an inline region: nested helpers see in_region() and
-  /// stay inline too. Counted as an inline region.
-  static void run_inline(int nchunks, const std::function<void(int)>& fn);
-
   /// True when the current thread is executing inside a region (worker
-  /// or participating caller). Parallel helpers use this to fall back
-  /// to serial execution instead of re-entering the pool.
+  /// or participating caller); run() then runs a nested region inline.
   static bool in_region();
 
  private:
+  /// Run fn(c) for c in [0, nchunks) on the calling thread, in index
+  /// order, as an inline region: nested regions see in_region() and
+  /// stay inline too. Counted as an inline region.
+  static void run_inline(int nchunks, const std::function<void(int)>& fn);
+
   void worker_loop(int lane);
   /// Pull chunk indices until the region is exhausted; `lane` indexes
   /// the busy-time counters (0 = the submitter).
@@ -119,12 +124,5 @@ int threads();
 
 /// The global pool itself (instantiated on first use).
 ThreadPool& pool();
-
-namespace detail {
-// Counter hooks: the pool counts regions and chunks, the parallel
-// helpers count the task indices they cover.
-void count_region(int nchunks, bool inline_run);
-void count_tasks(int ntasks);
-}  // namespace detail
 
 }  // namespace hsyn::runtime

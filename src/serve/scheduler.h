@@ -3,9 +3,9 @@
 //
 // Concurrency model. Each session thread runs run_job() start to
 // finish for one job at a time, so up to N jobs are in flight. They
-// share the process-global deterministic thread pool -- concurrent
-// parallel regions serialize through the pool's submit lock while the
-// jobs' serial portions interleave freely -- and the shared eval
+// share the process-global deterministic thread pool -- a job that
+// finds another job's point fan-out holding the pool runs its own
+// inline on its session thread -- and the shared eval
 // caches, which are keyed by content fingerprints and therefore safe
 // (and profitable) to share across jobs. Every job carries its own
 // CancelToken, its own obs job id (ledger/cache attribution), and its

@@ -9,7 +9,6 @@
 
 #include "obs/ledger.h"
 #include "rtl/cost.h"
-#include "runtime/parallel.h"
 #include "sched/scheduler.h"
 #include "sched/slack.h"
 #include "synth/improve.h"
@@ -77,9 +76,8 @@ Move replace_fu(const Datapath& dp, int fu_idx, const SynthContext& cx,
   if (ops.empty()) return best;
 
   const int cur_type = dp.fus[static_cast<std::size_t>(fu_idx)].type;
-  // Enumerate the admissible replacement types serially (cheap filters,
-  // same order and candidate cap as the serial engine), then score them
-  // -- the copy + reschedule + cost part -- on the parallel runtime.
+  // Enumerate the admissible replacement types (cheap filters, capped),
+  // then score them -- the copy + reschedule + cost part -- in order.
   std::vector<int> types;
   for (int t = 0; t < cx.lib->num_fu_types() &&
                   static_cast<int>(types.size()) < cx.opts.max_candidates;
@@ -93,26 +91,24 @@ Move replace_fu(const Datapath& dp, int fu_idx, const SynthContext& cx,
     if (cx.lib->cycles(t, cx.pt) > budget) continue;  // guide; sched verifies
     types.push_back(t);
   }
-  // Ledger group id allocated here, on the (serial) enumerating thread.
   const std::uint64_t grp = obs::MoveLedger::instance().begin_group();
-  return runtime::parallel_best(
-      static_cast<int>(types.size()), std::move(best),
-      [&](int i) {
-        obs::CandidateScope oscope(grp, i);
-        const int t = types[static_cast<std::size_t>(i)];
-        Datapath cand = dp;
-        cand.fus[static_cast<std::size_t>(fu_idx)].type = t;
-        // A pure type swap rewires nothing: the base connectivity is
-        // reusable verbatim.
-        DirtyRegion dirty;
-        dirty.binding_changed = false;
-        return finish_move(std::move(cand), cx, cost0, "A:fu-select",
-                           strf("fu%d %s -> %s", fu_idx,
-                                cx.lib->fu(cur_type).name.c_str(),
-                                cx.lib->fu(t).name.c_str()),
-                           &dp, &dirty);
-      },
-      keep_better);
+  for (std::size_t i = 0; i < types.size(); ++i) {
+    obs::CandidateScope oscope(grp, static_cast<std::int32_t>(i));
+    const int t = types[i];
+    Datapath cand = dp;
+    cand.fus[static_cast<std::size_t>(fu_idx)].type = t;
+    // A pure type swap rewires nothing: the base connectivity is
+    // reusable verbatim.
+    DirtyRegion dirty;
+    dirty.binding_changed = false;
+    keep_better(best,
+                finish_move(std::move(cand), cx, cost0, "A:fu-select",
+                            strf("fu%d %s -> %s", fu_idx,
+                                 cx.lib->fu(cur_type).name.c_str(),
+                                 cx.lib->fu(t).name.c_str()),
+                            &dp, &dirty));
+  }
+  return best;
 }
 
 /// Behaviors served by a child unit (usually one).
@@ -150,9 +146,8 @@ Move replace_child(const Datapath& dp, int child_idx, const SynthContext& cx,
   if (served.size() != 1) return best;  // merged modules are not reselected
   const std::string& behavior = served[0];
 
-  // Enumerate candidates serially (template list + uncovered variants,
-  // same order and cap as the serial engine); instantiation, scheduling
-  // and costing run on the parallel runtime.
+  // Enumerate candidates (template list + uncovered variants, capped),
+  // then instantiate, schedule and cost them in order.
   struct Cand {
     const ComplexLibrary::Template* tmpl = nullptr;  ///< null: fresh variant
     std::string variant;
@@ -177,38 +172,37 @@ Move replace_child(const Datapath& dp, int child_idx, const SynthContext& cx,
   }
 
   const std::uint64_t grp = obs::MoveLedger::instance().begin_group();
-  return runtime::parallel_best(
-      static_cast<int>(cands.size()), std::move(best),
-      [&](int i) {
-        obs::CandidateScope oscope(grp, i);
-        const Cand& c = cands[static_cast<std::size_t>(i)];
-        // A cached template instance is installed as is; it is copied only
-        // when the derived input arrivals differ from the ones it was
-        // scheduled with.
-        std::shared_ptr<const Datapath> impl;
-        if (c.tmpl != nullptr) {
-          impl = instantiate_scheduled(*c.tmpl, behavior, cx);
-          if (impl->behaviors[0].input_arrival != mc.in_arrival) {
-            impl = std::make_shared<const Datapath>(
-                with_arrival(*impl, mc.in_arrival));
-          }
-        } else {
-          impl = std::make_shared<const Datapath>(with_arrival(
-              initial_solution(cx.design->behavior(c.variant), behavior, cx),
-              mc.in_arrival));
-        }
-        Datapath cand = dp;
-        cand.children[static_cast<std::size_t>(child_idx)].impl =
-            std::move(impl);
-        return finish_move(
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    obs::CandidateScope oscope(grp, static_cast<std::int32_t>(i));
+    const Cand& c = cands[i];
+    // A cached template instance is installed as is; it is copied only
+    // when the derived input arrivals differ from the ones it was
+    // scheduled with.
+    std::shared_ptr<const Datapath> impl;
+    if (c.tmpl != nullptr) {
+      impl = instantiate_scheduled(*c.tmpl, behavior, cx);
+      if (impl->behaviors[0].input_arrival != mc.in_arrival) {
+        impl = std::make_shared<const Datapath>(
+            with_arrival(*impl, mc.in_arrival));
+      }
+    } else {
+      impl = std::make_shared<const Datapath>(with_arrival(
+          initial_solution(cx.design->behavior(c.variant), behavior, cx),
+          mc.in_arrival));
+    }
+    Datapath cand = dp;
+    cand.children[static_cast<std::size_t>(child_idx)].impl = std::move(impl);
+    keep_better(
+        best,
+        finish_move(
             std::move(cand), cx, cost0,
             c.tmpl != nullptr ? "A:module-select" : "A:dfg-swap",
             c.tmpl != nullptr
                 ? strf("child%d <- template %s", child_idx,
                        c.tmpl->name.c_str())
-                : strf("child%d <- fresh %s", child_idx, c.variant.c_str()));
-      },
-      keep_better);
+                : strf("child%d <- fresh %s", child_idx, c.variant.c_str())));
+  }
+  return best;
 }
 
 /// Move B: descend into the child and re-optimize it against the relaxed
@@ -247,8 +241,7 @@ Move resynth_child(const Datapath& dp, int child_idx, const SynthContext& cx,
 
   Datapath improved = [&] {
     // The nested improvement engine's own moves are ledgered at
-    // depth + 1; this runs on the enumerating thread, so inner group
-    // allocation stays serial.
+    // depth + 1.
     obs::ResynthScope rscope;
     return improve(std::move(child), inner);
   }();

@@ -20,7 +20,6 @@
 #include "embed/embedder.h"
 #include "obs/ledger.h"
 #include "rtl/cost.h"
-#include "runtime/parallel.h"
 #include "synth/moves.h"
 #include "util/fmt.h"
 
@@ -295,24 +294,21 @@ Move best_sharing_move(const Datapath& dp, const SynthContext& cx) {
   if (static_cast<int>(cands.size()) > cx.opts.max_candidates) {
     cands.resize(static_cast<std::size_t>(cx.opts.max_candidates));
   }
-  // Candidates are independent: apply + reschedule + cost each on the
-  // parallel runtime, reduced in enumeration order.
+  // Apply + reschedule + cost each candidate in priority order.
   const std::uint64_t grp = obs::MoveLedger::instance().begin_group();
-  return runtime::parallel_best(
-      static_cast<int>(cands.size()), std::move(best),
-      [&](int i) {
-        obs::CandidateScope oscope(grp, i);
-        const Candidate& c = cands[static_cast<std::size_t>(i)];
-        std::string desc;
-        Datapath cand = apply_candidate(dp, c, cx, desc);
-        if (desc.empty()) return Move{};  // e.g. embedding failed
-        const char* kind = c.kind == Candidate::Kind::Embed ? "C:embed"
-                           : c.kind == Candidate::Kind::ChainFuse
-                               ? "C:chain-fuse"
-                               : "C:share";
-        return finish_move(std::move(cand), cx, cost0, kind, desc);
-      },
-      keep_better);
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    obs::CandidateScope oscope(grp, static_cast<std::int32_t>(i));
+    const Candidate& c = cands[i];
+    std::string desc;
+    Datapath cand = apply_candidate(dp, c, cx, desc);
+    if (desc.empty()) continue;  // e.g. embedding failed
+    const char* kind = c.kind == Candidate::Kind::Embed ? "C:embed"
+                       : c.kind == Candidate::Kind::ChainFuse
+                           ? "C:chain-fuse"
+                           : "C:share";
+    keep_better(best, finish_move(std::move(cand), cx, cost0, kind, desc));
+  }
+  return best;
 }
 
 }  // namespace hsyn

@@ -152,6 +152,7 @@ Move finish_move(Datapath cand, const SynthContext& cx, double cost_before,
     r.desc = m.desc;
     r.pass = obs::ImproveScope::current_pass();
     r.depth = obs::ResynthScope::current_depth();
+    r.strategy = obs::StrategyScope::current();
     r.gain = m.gain;
     r.cost_before = cost_before;
     r.status =

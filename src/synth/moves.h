@@ -138,9 +138,9 @@ struct TemplateKey {
 /// Cache of library templates already instantiated and scheduled at an
 /// operating point, shared across SynthContext copies. Entries are
 /// immutable shared instances: a hit hands out the pointer, and a caller
-/// installs it as a child subtree as is. Guarded by a mutex because
-/// candidate evaluation runs on the parallel runtime (runtime/parallel.h)
-/// and workers may instantiate concurrently. Bounded (LRU over
+/// installs it as a child subtree as is. Guarded by a mutex because a
+/// job's operating-point tasks share it and may instantiate
+/// concurrently. Bounded (LRU over
 /// instantiations) and instrumented: aggregate hit/miss/eviction/entry
 /// counters over every instance are reported as the "template-cache"
 /// metrics source (obs::Registry), so they show up in --metrics-out.
@@ -234,9 +234,8 @@ Move finish_move(Datapath cand, const SynthContext& cx, double cost_before,
 const Move& better_move(const Move& a, const Move& b);
 
 /// Fold `cand` into `best` with better_move's exact semantics (`best`
-/// wins ties). This is the ordered-reduction combiner the parallel
-/// candidate evaluation uses: folding candidates left-to-right through
-/// keep_better selects the same move as the serial better_move chain.
+/// wins ties): the move generators fold their candidates left-to-right
+/// through it, so the first of equally good candidates is selected.
 void keep_better(Move& best, Move&& cand);
 
 /// Typical input trace observed by child unit `child_idx` of `dp` for

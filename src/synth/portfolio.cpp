@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <string>
 #include <utility>
 
 #include "obs/ledger.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "runtime/parallel.h"
+#include "runtime/thread_pool.h"
 #include "util/fmt.h"
 #include "util/log.h"
 #include "util/table.h"
@@ -77,21 +79,30 @@ PortfolioResult portfolio_synthesize(const Design& design, const Library& lib,
       }
     }
 
-    // One strategy per region chunk. Nested regions run inline on the
-    // lane, so each trajectory is strategy-serial; outcomes land in
-    // index order regardless of which worker ran them.
-    const std::vector<SearchOutcome> outcomes =
-        runtime::parallel_map(n, [&](int i) {
-          obs::StrategyScope scope(round * n + i);
-          SearchOutcome oc = core.run(cohort[static_cast<std::size_t>(i)]);
-          // Telemetry only (relaxed, never read back): the lane carries
-          // the job tag, so the count lands on the right job.
-          obs::current_job_state().strategies_done.fetch_add(
-              1, std::memory_order_relaxed);
-          return oc;
-        });
+    // One pool chunk per strategy. The point fan-out inside a strategy
+    // runs inline on its lane, so each trajectory is strategy-serial;
+    // outcomes and log lines land in index order regardless of which
+    // lane ran them, and the loop below writes the logs in that order.
+    std::vector<SearchOutcome> outcomes(static_cast<std::size_t>(n));
+    std::vector<std::string> logs(static_cast<std::size_t>(n));
+    runtime::pool().run(n, [&](int i) {
+      const auto at = static_cast<std::size_t>(i);
+      try {
+        const obs::StrategyScope scope(round * n + i);
+        const LogCapture capture(&logs[at]);
+        outcomes[at] = core.run(cohort[at]);
+      } catch (...) {
+        log_write(logs[at]);  // the failure's own log lines
+        throw;
+      }
+      // Telemetry only (relaxed, never read back): the lane carries
+      // the job tag, so the count lands on the right job.
+      obs::current_job_state().strategies_done.fetch_add(
+          1, std::memory_order_relaxed);
+    });
 
     for (int i = 0; i < n; ++i) {
+      log_write(logs[static_cast<std::size_t>(i)]);
       const SearchOutcome& oc = outcomes[static_cast<std::size_t>(i)];
       StrategyReport rep;
       rep.strategy = cohort[static_cast<std::size_t>(i)];

@@ -1,13 +1,14 @@
 // Portfolio search: N SearchStrategy trajectories explored concurrently
 // over the deterministic runtime pool, best-of kept.
 //
-// Each strategy is one chunk of a top-level parallel region; nested
-// regions execute inline on the calling lane (runtime/thread_pool.h), so
-// a strategy's whole trajectory -- including its own parallel_best move
-// evaluations -- runs serially on one lane and is a pure function of
-// (design, options, strategy). The best-of reduction uses the explicit
-// (cost, strategy index) comparator of runtime/parallel.h, so the
-// portfolio winner is bit-identical at 1, 2 or 8 threads.
+// Each strategy is one chunk of a pool region (runtime/thread_pool.h).
+// Its point fan-out runs inline on the chunk's lane, so a strategy's
+// whole trajectory runs serially on one lane and is a pure function of
+// (design, options, strategy). Each strategy's log lines are captured
+// on its lane and written in strategy order, so --verbose output does
+// not depend on the thread count either. The best-of reduction uses the
+// explicit (cost, strategy index) comparator of runtime/parallel.h, so
+// the portfolio winner is bit-identical at 1, 2 or 8 threads.
 //
 // Explorers share work instead of multiplying it: every strategy prices
 // moves through the shared EvalEngine caches against the *same* typical

@@ -28,19 +28,13 @@
 namespace hsyn {
 namespace {
 
-/// Progress/cancel hooks fire only from strategy-serial code: move B's
-/// nested improvement runs at resynth depth > 0 (and, when parallelized,
-/// on pool workers inside a region), where a sink call would race and a
-/// cancel unwind would corrupt the enclosing move. A portfolio explorer
-/// and an operating-point task *are* strategy-serial even though they
-/// run inside a pool region (nested regions execute inline on their
-/// lane), so an active StrategyScope or PointScope re-enables the
-/// checks there.
-bool at_search_top() {
-  return obs::ResynthScope::current_depth() == 0 &&
-         (obs::StrategyScope::active() || obs::PointScope::active() ||
-          !runtime::ThreadPool::in_region());
-}
+/// Progress/cancel hooks fire only at the top of a search: move B's
+/// nested improvement runs at resynth depth > 0, where a cancel unwind
+/// would corrupt the enclosing move. Every depth-0 search is serial in
+/// itself -- pool chunks are whole operating points or portfolio
+/// strategies, and a point task records its events into its own
+/// narration.
+bool at_search_top() { return obs::ResynthScope::current_depth() == 0; }
 
 /// What one stretch of the search logged and reported: log text plus
 /// progress events, each at the log offset where it fired. Operating
@@ -254,7 +248,7 @@ Datapath search_improve(Datapath dp, const SynthContext& cx,
       if (cx.opts.cancel && at_search_top()) {
         cx.opts.cancel->throw_if_cancelled();
       }
-      // Wall time of move selection (the dominant, parallelized cost).
+      // Wall time of move selection (the dominant cost).
       // Move B's nested improve() opens its own move-select spans; self
       // time keeps the nesting from counting twice.
       obs::Span phase("move-select");
@@ -637,9 +631,9 @@ SearchOutcome SearchCore::run(const SearchStrategy& strat) const {
   }
 
   // Search phase: one pool task per point, so lanes balance over whole
-  // searches (nested regions inside a task run inline on its lane). The
-  // fold consumes finished points strictly in order, as soon as the
-  // next one is ready, and frees the ones that lose.
+  // searches (a task is serial in itself). The fold consumes finished
+  // points strictly in order, as soon as the next one is ready, and
+  // frees the ones that lose.
   double best_obj = std::numeric_limits<double>::max();
   const auto fold = [&](PointTask& p) {
     p.lead.replay(opts);

@@ -9,12 +9,12 @@
 // Construction does all the strategy-independent work once: flattening,
 // critical-path analysis, supply-voltage pruning and typical-trace
 // generation. run(strategy) is const and touches only immutable state
-// plus its own locals, so N concurrent run() calls (one per pool lane;
-// nested parallel regions execute inline on the calling lane) are safe
-// and each is a pure function of (core inputs, strategy) -- the basis of
-// the portfolio's thread-count-independence guarantee. Called outside a
-// region, run() searches its operating points as concurrent pool tasks
-// and folds them in the serial order (DESIGN.md section 6).
+// plus its own locals, so N concurrent run() calls (one per pool lane)
+// are safe and each is a pure function of (core inputs, strategy) -- the
+// basis of the portfolio's thread-count-independence guarantee. Called
+// outside a region, run() searches its operating points as concurrent
+// pool tasks and folds them in the serial order (DESIGN.md section 6);
+// inside a portfolio strategy's chunk the points run inline, in order.
 //
 // Determinism note: the typical input trace is derived from
 // SynthOptions::seed only. Strategy seed offsets deliberately do NOT

@@ -5,8 +5,8 @@
 // node what to do, and recurses into hierarchical children one sample at
 // a time through itself -- never through eval_dfg, which would route the
 // children through the compiled kernel and make the oracle compare that
-// kernel against itself. Samples are independent, so the batch fans out
-// over the runtime; each task writes only its own row.
+// kernel against itself. Samples are independent; each fills its own
+// row.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "dfg/dfg.h"
 #include "power/replay.h"
 #include "power/trace.h"
-#include "runtime/parallel.h"
 #include "util/fmt.h"
 
 namespace hsyn::testing_support {
@@ -71,10 +70,9 @@ inline std::vector<std::int32_t> oracle_eval_sample(const Dfg& dfg,
 inline EdgeMatrix oracle_eval_matrix(const Dfg& dfg, const BehaviorResolver& res,
                                      const Trace& inputs) {
   std::vector<std::vector<std::int32_t>> rows(inputs.size());
-  runtime::parallel_for(static_cast<int>(inputs.size()), [&](int t) {
-    const std::size_t ts = static_cast<std::size_t>(t);
-    rows[ts] = oracle_eval_sample(dfg, res, inputs[ts]);
-  });
+  for (std::size_t t = 0; t < inputs.size(); ++t) {
+    rows[t] = oracle_eval_sample(dfg, res, inputs[t]);
+  }
   EdgeMatrix mat(static_cast<int>(dfg.edges().size()), inputs.size());
   for (std::size_t t = 0; t < rows.size(); ++t) {
     for (int e = 0; e < mat.num_edges(); ++e) {

@@ -2,7 +2,8 @@
 //
 //  * the strategy spec language round-trips and rejects malformed input,
 //  * default_portfolio() always leads with the exact baseline replica,
-//  * portfolio_synthesize() is bit-identical at 1/2/8 threads,
+//  * portfolio_synthesize() is bit-identical at 1/2/8 threads, and so
+//    is its log,
 //  * the best-of can never lose to single-seed synthesize() and ties
 //    break toward the baseline (strategy 0),
 //  * a tripped CancelToken yields best-so-far exactly once (via the
@@ -27,6 +28,7 @@
 #include "synth/portfolio.h"
 #include "synth/strategy.h"
 #include "synth/synthesizer.h"
+#include "util/log.h"
 #include "strip_timing.h"
 
 namespace hsyn {
@@ -281,6 +283,33 @@ TEST(Portfolio, BitIdenticalAcrossThreadCounts) {
     // The whole outcome table, byte for byte.
     EXPECT_EQ(pr.summary_table(), ref.summary_table());
   }
+}
+
+TEST(Portfolio, VerboseLogIdenticalAcrossThreadCounts) {
+  // Each strategy's log lines are captured on its lane and written in
+  // strategy order, so --verbose output is the same at any thread count
+  // (and all of it reaches the calling thread's capture).
+  const Bench1 f;
+  PortfolioOptions popts;
+  popts.num_strategies = 3;
+  const LogLevel prev = log_level();
+  set_log_level(LogLevel::Info);
+  std::vector<std::string> logs;
+  for (const int threads : {1, 4}) {
+    runtime::set_threads(threads);
+    std::string log;
+    {
+      const LogCapture capture(&log);
+      ASSERT_TRUE(f.run(popts).best.ok) << "threads=" << threads;
+    }
+    logs.push_back(std::move(log));
+  }
+  runtime::set_threads(0);
+  set_log_level(prev);
+  ASSERT_NE(logs[0].find("] pass "), std::string::npos) << logs[0];
+  EXPECT_TRUE(logs[1] == logs[0]) << "threads=1:\n"
+                                  << logs[0] << "threads=4:\n"
+                                  << logs[1];
 }
 
 TEST(Portfolio, TieBreaksTowardLowestStrategyIndex) {

@@ -252,7 +252,7 @@ TEST_P(ReplayBenchmarkEquivalence, CompiledIsThreadCountInvariant) {
   const Benchmark bench = make_benchmark(GetParam(), lib);
   const Dfg& top = bench.design.top();
   const BehaviorResolver res = design_resolver(bench.design);
-  const Trace tr = make_trace(top.num_inputs(), 33, 98);  // odd: ragged chunks
+  const Trace tr = make_trace(top.num_inputs(), 33, 98);  // odd length
   const int before = runtime::threads();
   runtime::set_threads(1);
   const EdgeMatrix m1 = replay_eval_matrix(top, res, tr);
@@ -274,7 +274,7 @@ TEST_P(ReplayBenchmarkEquivalence, EveryBehaviorMatchesOracleAtEveryThreadCount)
   const int before = runtime::threads();
   for (const std::string& name : bench.design.behavior_names()) {
     const Dfg& dfg = bench.design.behavior(name);
-    const Trace tr = make_trace(dfg.num_inputs(), 33, 98);  // odd: ragged chunks
+    const Trace tr = make_trace(dfg.num_inputs(), 33, 98);  // odd length
     const EdgeMatrix golden = oracle_eval_matrix(dfg, res, tr);
     for (const int threads : {1, 2, 8}) {
       runtime::set_threads(threads);

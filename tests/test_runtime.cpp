@@ -1,13 +1,13 @@
-// Tests for the deterministic parallel runtime (src/runtime/): the
-// ordered reduction must select the same element for every thread
-// count, per-task RNG streams must be pure functions of (seed, index),
-// worker exceptions must propagate to the caller, and a full synthesis
-// run must be bit-identical serial vs. parallel (the wider axes of that
-// gate are Identity.*, tests/test_identity.cpp).
+// Tests for the deterministic runtime (src/runtime/): per-task RNG
+// streams must be pure functions of (seed, index), worker exceptions
+// must propagate to the caller, a job opens exactly one pool region
+// (its operating points), the portfolio's (cost, index) fold breaks ties
+// toward the lowest index, and a full synthesis run must be
+// bit-identical serial vs. parallel (the wider axes of that gate are
+// Identity.*, tests/test_identity.cpp).
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
@@ -19,7 +19,6 @@
 #include "library/library.h"
 #include "obs/ledger.h"
 #include "obs/metrics.h"
-#include "random_dfg.h"
 #include "rtl/netlist.h"
 #include "runtime/cancel.h"
 #include "runtime/parallel.h"
@@ -31,79 +30,6 @@
 
 namespace hsyn {
 namespace {
-
-using testing_support::random_dfg;
-
-/// A stand-in for synth::Move in reduction tests: candidate index plus
-/// a score, selected by strictly-greater comparison (first-wins ties).
-struct Scored {
-  int idx = -1;
-  double gain = 0;
-  bool valid = false;
-};
-
-void keep_scored(Scored& best, Scored&& cand) {
-  if (!cand.valid) return;
-  if (!best.valid || cand.gain > best.gain) best = std::move(cand);
-}
-
-/// Deterministic per-candidate score over a random DFG: node structure
-/// plus a few draws from the candidate's private RNG stream. Quantized
-/// so that ties are common and first-wins tie-breaking is exercised.
-Scored score_candidate(const Dfg& d, std::uint64_t seed, int i) {
-  Rng rng = runtime::task_rng(seed, static_cast<std::uint64_t>(i));
-  const Node& n = d.node(i % static_cast<int>(d.nodes().size()));
-  double g = static_cast<double>(static_cast<int>(n.op)) +
-             static_cast<double>(rng.below(8)) + 0.25 * (i % 4);
-  if (rng.below(5) == 0) return {};  // some candidates are invalid
-  return {i, std::floor(g), true};
-}
-
-class ParallelBestDeterminism : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelBestDeterminism, SameWinnerForAnyThreadCount) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
-  const Dfg d = random_dfg(seed, 24);
-  const int n = 97;  // not a multiple of any chunk count
-
-  // Serial reference: the exact fold parallel_best promises.
-  Scored ref;
-  for (int i = 0; i < n; ++i) keep_scored(ref, score_candidate(d, seed, i));
-  ASSERT_TRUE(ref.valid);
-
-  for (const int threads : {1, 2, 8}) {
-    runtime::set_threads(threads);
-    const Scored got = runtime::parallel_best(
-        n, Scored{}, [&](int i) { return score_candidate(d, seed, i); },
-        keep_scored);
-    EXPECT_EQ(ref.idx, got.idx) << "threads=" << threads;
-    EXPECT_EQ(ref.gain, got.gain) << "threads=" << threads;
-    EXPECT_EQ(ref.valid, got.valid) << "threads=" << threads;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelBestDeterminism,
-                         ::testing::Range(1, 13));
-
-TEST(ParallelMap, IndexOrderIndependentOfThreadCount) {
-  const int n = 61;
-  std::vector<std::uint64_t> ref;
-  for (const int threads : {1, 2, 8}) {
-    runtime::set_threads(threads);
-    const std::vector<std::uint64_t> got = runtime::parallel_map(n, [](int i) {
-      Rng rng = runtime::task_rng(7, static_cast<std::uint64_t>(i));
-      std::uint64_t h = 0;
-      for (int k = 0; k < 3; ++k) h ^= rng.next();
-      return h;
-    });
-    ASSERT_EQ(got.size(), static_cast<std::size_t>(n));
-    if (ref.empty()) {
-      ref = got;
-    } else {
-      EXPECT_EQ(ref, got) << "threads=" << threads;
-    }
-  }
-}
 
 TEST(TaskRng, StreamsAreReproducibleAndDecorrelated) {
   // Same (seed, index) -> identical stream.
@@ -120,21 +46,22 @@ TEST(TaskRng, StreamsAreReproducibleAndDecorrelated) {
 
 TEST(ThreadPool, WorkerExceptionsPropagateLowestChunkFirst) {
   runtime::set_threads(8);
-  // 64 indices over 8 chunks of 8: chunk 0 is clean, chunk 1 throws
-  // first at i == 10 -- that exception must be the one rethrown.
+  // 8 chunks: chunk 0 is clean, chunks 1..7 throw -- chunk 1's exception
+  // must be the one rethrown, whichever lane finished first.
   try {
-    runtime::parallel_for(64, [](int i) {
-      if (i >= 10) throw std::runtime_error("boom " + std::to_string(i));
+    runtime::pool().run(8, [](int c) {
+      if (c >= 1) throw std::runtime_error("boom " + std::to_string(c));
     });
     FAIL() << "expected the worker exception to propagate";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ("boom 10", e.what());
+    EXPECT_STREQ("boom 1", e.what());
   }
 
   // The pool must stay usable after a throwing region.
   std::vector<int> out(32, 0);
-  runtime::parallel_for(32, [&](int i) { out[static_cast<std::size_t>(i)] = i; });
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
+  runtime::pool().run(32, [&](int c) { out[static_cast<std::size_t>(c)] = c; });
+  for (int c = 0; c < 32; ++c) EXPECT_EQ(out[static_cast<std::size_t>(c)], c);
+  runtime::set_threads(0);
 }
 
 TEST(ThreadPool, SecondSubmitterRunsInlineWhilePoolIsBusy) {
@@ -189,18 +116,39 @@ TEST(RuntimeStats, CountsTasksAndRegions) {
   runtime::set_threads(4);
   const obs::Registry& reg = obs::Registry::instance();
   const auto before = reg.poll_sources().at("runtime");
-  runtime::parallel_for(100, [](int) {});
+  runtime::pool().run(100, [](int) {});
   const auto after = reg.poll_sources().at("runtime");
   const auto delta = [&](const char* k) { return after.at(k) - before.at(k); };
   EXPECT_EQ(delta("tasks"), 100u);
-  EXPECT_GE(delta("regions") + delta("inline_regions"), 1u);
-  EXPECT_GE(delta("chunks"), 1u);
-  EXPECT_GE(after.at("max_region_chunks"), 1u);
+  EXPECT_EQ(delta("regions") + delta("inline_regions"), 1u);
+  EXPECT_EQ(delta("chunks"), 100u);
+  EXPECT_GE(after.at("max_region_chunks"), 100u);
   // Lane 0 (the submitter) and every worker lane report busy time.
   for (int lane = 0; lane < 4; ++lane) {
     EXPECT_TRUE(after.count("lane" + std::to_string(lane) + "_busy_ns"))
         << "lane " << lane;
   }
+}
+
+TEST(RuntimeStats, OneRegionPerJob) {
+  // Pool regions carry whole searches only: a hierarchical power job --
+  // template set-up, search and RTL verification -- opens exactly one,
+  // its operating-point fan-out; candidates, child estimates and trace
+  // replay run as serial loops inside the point tasks.
+  runtime::set_threads(4);
+  const obs::Registry& reg = obs::Registry::instance();
+  const auto before = reg.poll_sources().at("runtime");
+  serve::JobSpec spec;
+  spec.benchmark = "test1";
+  spec.templates = true;
+  const serve::JobOutcome out = serve::run_job(spec, serve::JobHooks{});
+  const auto after = reg.poll_sources().at("runtime");
+  runtime::set_threads(0);
+  ASSERT_TRUE(out.ok) << out.error;
+  EXPECT_TRUE(out.verify_ok);
+  const auto delta = [&](const char* k) { return after.at(k) - before.at(k); };
+  EXPECT_EQ(delta("regions") + delta("inline_regions"), 1u);
+  EXPECT_GE(delta("tasks"), 8u);  // one chunk per operating point
 }
 
 TEST(Synthesis, BitIdenticalAcrossThreadCounts) {
@@ -343,43 +291,45 @@ TEST(PointCancel, MidFanOutKeepsTheCompletedPrefix) {
   EXPECT_LT(job_points, static_cast<int>(all.size()));
 }
 
-// Regression for the explicit (cost, index) comparator: equal-cost
-// candidates must always resolve to the lowest index, at every thread
-// count, no matter how the reduction tree groups the chunks. A bare
-// "keep when strictly better" fold gets this right only by accident of
-// visit order.
-TEST(ParallelBestIndexed, EqualCostBreaksTowardLowestIndex) {
+// Regression for the explicit (cost, index) comparator the portfolio
+// folds strategies with: equal-cost candidates must resolve to the
+// lowest index whatever order they are folded in. A bare "keep when
+// strictly better" fold gets this right only by accident of visit order.
+TEST(KeepScored, EqualCostBreaksTowardLowestIndex) {
   constexpr int kN = 97;
-  for (const int threads : {1, 2, 3, 8}) {
-    runtime::set_threads(threads);
+  using S = runtime::Scored<int>;
+  // Folds candidates 0..kN-1 forwards and backwards; both must agree.
+  const auto best_of = [&](const auto& cand) {
+    S forward;
+    S backward;
+    for (int i = 0; i < kN; ++i) runtime::keep_scored(forward, cand(i));
+    for (int i = kN - 1; i >= 0; --i) runtime::keep_scored(backward, cand(i));
+    EXPECT_EQ(forward.index, backward.index);
+    EXPECT_EQ(forward.value, backward.value);
+    return forward;
+  };
 
-    // All candidates tie: index 0 must win.
-    runtime::Scored<int> all_tied = runtime::parallel_best_indexed(
-        kN, [](int i) { return runtime::Scored<int>{5.0, -1, i * 10}; });
-    EXPECT_EQ(all_tied.index, 0) << "threads=" << threads;
-    EXPECT_EQ(all_tied.value, 0) << "threads=" << threads;
+  // All candidates tie: index 0 must win.
+  const S all_tied = best_of([](int i) { return S{5.0, i, i * 10}; });
+  EXPECT_EQ(all_tied.index, 0);
+  EXPECT_EQ(all_tied.value, 0);
 
-    // A tie at the minimum deep inside the range: the lowest tied index
-    // wins, not whichever chunk reduced last.
-    runtime::Scored<int> deep_tie = runtime::parallel_best_indexed(
-        kN, [](int i) {
-          const double cost = (i == 23 || i == 71) ? 1.0 : 2.0 + i;
-          return runtime::Scored<int>{cost, -1, i};
-        });
-    EXPECT_EQ(deep_tie.index, 23) << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(deep_tie.cost, 1.0) << "threads=" << threads;
+  // A tie at the minimum deep inside the range: the lowest tied index
+  // wins, not whichever candidate was folded last.
+  const S deep_tie = best_of([](int i) {
+    const double cost = (i == 23 || i == 71) ? 1.0 : 2.0 + i;
+    return S{cost, i, i};
+  });
+  EXPECT_EQ(deep_tie.index, 23);
+  EXPECT_DOUBLE_EQ(deep_tie.cost, 1.0);
 
-    // Strictly lower cost still beats any index.
-    runtime::Scored<int> strict = runtime::parallel_best_indexed(
-        kN, [](int i) {
-          return runtime::Scored<int>{i == kN - 1 ? 0.5 : 1.0, -1, i};
-        });
-    EXPECT_EQ(strict.index, kN - 1) << "threads=" << threads;
-  }
-  runtime::set_threads(0);
+  // Strictly lower cost still beats any index.
+  const S strict =
+      best_of([](int i) { return S{i == kN - 1 ? 0.5 : 1.0, i, i}; });
+  EXPECT_EQ(strict.index, kN - 1);
 }
 
-TEST(ParallelBestIndexed, CombinerIsAssociativeWithEmptyIdentity) {
+TEST(KeepScored, CombinerIsAssociativeWithEmptyIdentity) {
   using S = runtime::Scored<int>;
   S empty;
   S a{3.0, 4, 40};
